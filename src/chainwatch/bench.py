@@ -1,11 +1,22 @@
 """Latency and comparison-count benchmark: filtered engine vs naive scan.
 
-Methodology: traces are parsed up front, one warm-up pass runs outside the
-clock (this also triggers jit compilation on the numba backend), then each
-measured repetition replays every trace against a fresh state table, timing
-each call's full pipeline step (white-list check, encoding, candidate
-nomination, monitor step) with a nanosecond counter.  Comparison counters are
-deterministic and independent of timing.
+Both modes run the shipped pipeline, ``engine.detect`` and
+``engine.detect_naive``, over every trace with a fresh state table.  One
+warm-up pass per mode runs outside the clock and supplies the comparison and
+alarm counts, which are deterministic; then each measured repetition replays
+every trace.
+
+Per-call times come from a white-list that stamps a nanosecond counter on
+each membership test.  ``run_detection`` tests every call once, before any
+other work, so a call's time is the gap from its stamp to the next one (to the
+return of ``detect`` for a trace's last call).  Latency statistics cover only
+scored calls, those that pass the white-list: a white-listed call costs one
+set lookup and would pull the median down to it.
+
+A ratio of naive to engine cost counts only when the engine raises every
+alarm the naive scan raises.  The two alarm sets, keyed on
+``(trace, offset, exploit_id)``, are compared; when the engine misses any,
+or makes no comparisons at all, both ratios are ``None``.
 """
 
 from __future__ import annotations
@@ -15,11 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels, mlp
+from . import mlp
 from .encoder import FeatureEncoder
-from .engine import EngineConfig, classifier_candidates, full_candidates
+from .engine import EngineConfig, detect, detect_naive
 from .fingerprints import FingerprintDb, WhiteList
-from .monitor import StateTable
 from .trace import Trace
 
 
@@ -54,6 +64,7 @@ class ModeReport:
     comparisons_per_call: float
     alarms: int
     per_trace_comparisons: list[int] = field(repr=False, default_factory=list)
+    alarm_keys: frozenset[tuple[int, int, int]] = field(repr=False, default_factory=frozenset)
 
     def to_json_obj(self) -> dict:
         return {
@@ -69,112 +80,80 @@ class ModeReport:
 class BenchReport:
     engine: ModeReport
     naive: ModeReport
-    comparison_ratio: float
-    latency_ratio: float
+    missed: int  # naive alarms the engine did not raise
+    extra: int  # engine alarms the naive scan did not raise
+    comparison_ratio: float | None
+    latency_ratio: float | None
     param_count: int
-    backend: str
     repetitions: int
-    kernel_micro: dict
 
     def to_json_obj(self) -> dict:
         return {
             "engine": self.engine.to_json_obj(),
             "naive": self.naive.to_json_obj(),
+            "agreement": {"missed": self.missed, "extra": self.extra},
             "comparison_ratio": self.comparison_ratio,
             "latency_ratio": self.latency_ratio,
             "param_count": self.param_count,
-            "backend": self.backend,
             "repetitions": self.repetitions,
-            "kernel_micro": self.kernel_micro,
         }
 
 
-def _run_mode(
-    traces: list[Trace],
-    encoder: FeatureEncoder,
-    whitelist: WhiteList,
-    db: FingerprintDb,
-    candidate_factory,
-    config: EngineConfig,
-    repetitions: int,
-    measure: bool,
-) -> ModeReport:
-    samples: list[int] = []
-    total_comparisons = 0
-    non_whitelisted = 0
-    alarms = 0
-    per_trace: list[int] = []
+class _StampingWhiteList(WhiteList):
+    """Wraps a white-list and stamps the clock on each membership test."""
 
-    passes = repetitions if measure else 1
-    for rep in range(passes):
-        per_trace_rep: list[int] = []
-        for trace in traces:
-            table = StateTable(db)
-            nominate = candidate_factory(db)
-            trace_comparisons = 0
-            for offset, call in enumerate(trace.calls):
-                t0 = time.perf_counter_ns()
-                if call.api_name in whitelist:
-                    elapsed = time.perf_counter_ns() - t0
-                else:
-                    x = encoder.encode(call)
-                    candidates = nominate(x)
-                    if candidates:
-                        before = table.total_comparisons
-                        events = table.step(
-                            candidates, x, offset, threshold=config.threshold_cosine
-                        )
-                        elapsed = time.perf_counter_ns() - t0
-                        trace_comparisons += table.total_comparisons - before
-                        if rep == 0:
-                            alarms += sum(1 for e in events if e.kind.value == "alarm")
-                    else:
-                        elapsed = time.perf_counter_ns() - t0
-                    if rep == 0:
-                        non_whitelisted += 1
-                if measure:
-                    samples.append(elapsed)
-            per_trace_rep.append(trace_comparisons)
-        if rep == 0:
-            per_trace = per_trace_rep
-            total_comparisons = sum(per_trace_rep)
+    def __init__(self, inner: WhiteList):
+        super().__init__()
+        self._inner = inner
+        self.stamps: list[int] = []
 
+    def __contains__(self, api_name: str) -> bool:
+        self.stamps.append(time.perf_counter_ns())
+        return api_name in self._inner
+
+
+def _measure(traces: list[Trace], whitelist: WhiteList, run, repetitions: int) -> ModeReport:
+    """Times ``run(trace, whitelist)`` over every scored call of every trace."""
+    results = [run(trace, whitelist) for trace in traces]  # warm-up, off the clock
+    scored_calls = sum(r.summary.encoded_calls for r in results)
+    if scored_calls == 0:
+        raise ValueError("no call passes the white-list, so there is nothing to time")
+    scored = [
+        np.array([call.api_name not in whitelist for call in trace.calls], dtype=bool)
+        for trace in traces
+    ]
+    stamped = _StampingWhiteList(whitelist)
+    samples: list[np.ndarray] = []
+    for _ in range(repetitions):
+        for trace, result, mask in zip(traces, results, scored):
+            stamped.stamps.clear()
+            run(trace, stamped)
+            end = time.perf_counter_ns()
+            calls = result.summary.total_calls
+            if len(stamped.stamps) != calls:
+                raise RuntimeError(
+                    f"{trace.source_id}: {len(stamped.stamps)} white-list tests for {calls} "
+                    "calls; run_detection no longer tests each call once"
+                )
+            per_call = np.diff(np.array(stamped.stamps + [end], dtype=np.int64))
+            samples.append(per_call[mask[:calls]])
+
+    per_trace = [r.summary.comparisons for r in results]
     return ModeReport(
-        latency=LatencyStats.from_ns(samples if measure else [0]),
-        total_comparisons=total_comparisons,
-        non_whitelisted_calls=non_whitelisted,
-        comparisons_per_call=total_comparisons / max(1, non_whitelisted),
-        alarms=alarms,
+        latency=LatencyStats.from_ns(np.concatenate(samples)),
+        total_comparisons=sum(per_trace),
+        non_whitelisted_calls=scored_calls,
+        comparisons_per_call=sum(per_trace) / scored_calls,
+        alarms=sum(len(r.alarms) for r in results),
         per_trace_comparisons=per_trace,
+        alarm_keys=frozenset(
+            (i, a.offset, a.exploit_id) for i, r in enumerate(results) for a in r.alarms
+        ),
     )
 
 
-def _kernel_micro(model: mlp.MlpModel, rounds: int = 500) -> dict:
-    """Median per-invocation microseconds of each kernel on every backend."""
-    rng = np.random.default_rng(7)
-    x = np.ascontiguousarray(rng.standard_normal(mlp.LAYER_SIZES[0]))
-    a = np.ascontiguousarray(rng.standard_normal(mlp.LAYER_SIZES[0]))
-    out = {}
-    for backend, table in kernels.backends().items():
-        fwd = table["mlp_forward"]
-        cos = table["cosine"]
-        fwd(x, model.w1, model.b1, model.w2, model.b2, model.w3, model.b3)
-        cos(x, a)
-        fwd_ns = []
-        for _ in range(rounds):
-            t0 = time.perf_counter_ns()
-            fwd(x, model.w1, model.b1, model.w2, model.b2, model.w3, model.b3)
-            fwd_ns.append(time.perf_counter_ns() - t0)
-        cos_ns = []
-        for _ in range(rounds):
-            t0 = time.perf_counter_ns()
-            cos(x, a)
-            cos_ns.append(time.perf_counter_ns() - t0)
-        out[backend] = {
-            "mlp_forward_us": float(np.median(fwd_ns)) / 1000.0,
-            "cosine_us": float(np.median(cos_ns)) / 1000.0,
-        }
-    return out
+def _ratio(naive: float, engine: float, agree: bool) -> float | None:
+    return naive / engine if agree and engine else None
 
 
 def run_bench(
@@ -190,30 +169,28 @@ def run_bench(
         raise ValueError("repetitions must be >= 1")
     config = config if config is not None else EngineConfig()
 
-    def engine_factory(db_):
-        return classifier_candidates(model, db_, config.threshold_classify)
-
-    # Warm-up pass (jit compilation, cache effects) stays off the clock.
-    _run_mode(traces, encoder, whitelist, db, engine_factory, config, 1, measure=False)
-    _run_mode(traces, encoder, whitelist, db, full_candidates, config, 1, measure=False)
-
-    engine = _run_mode(
-        traces, encoder, whitelist, db, engine_factory, config, repetitions, measure=True
+    engine = _measure(
+        traces,
+        whitelist,
+        lambda trace, wl: detect(trace, encoder, wl, db, model, config),
+        repetitions,
     )
-    naive = _run_mode(
-        traces, encoder, whitelist, db, full_candidates, config, repetitions, measure=True
+    naive = _measure(
+        traces,
+        whitelist,
+        lambda trace, wl: detect_naive(trace, encoder, wl, db, config),
+        repetitions,
     )
 
-    ratio = naive.comparisons_per_call / engine.comparisons_per_call if engine.comparisons_per_call else float("inf")
+    missed = len(naive.alarm_keys - engine.alarm_keys)
+    agree = missed == 0
     return BenchReport(
         engine=engine,
         naive=naive,
-        comparison_ratio=ratio,
-        latency_ratio=naive.latency.median_us / engine.latency.median_us
-        if engine.latency.median_us
-        else float("inf"),
+        missed=missed,
+        extra=len(engine.alarm_keys - naive.alarm_keys),
+        comparison_ratio=_ratio(naive.comparisons_per_call, engine.comparisons_per_call, agree),
+        latency_ratio=_ratio(naive.latency.median_us, engine.latency.median_us, agree),
         param_count=model.param_count(),
-        backend=kernels.ACTIVE_BACKEND,
         repetitions=repetitions,
-        kernel_micro=_kernel_micro(model),
     )

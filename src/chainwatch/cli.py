@@ -413,7 +413,7 @@ def eval_cmd(config_path, seed, embeddings, vocab_dir, fingerprints, model_path,
         model = _load_model(config, model_path)
         for item in items:
             x = encoder.encode_trace(item.trace.calls)
-            probs = mlp.forward_batch(model, x)
+            probs = mlp.forward(model, x)
             preds = (probs >= thr).astype(np.float64)
             truth = item.label_matrix(n_labels)
             for row_pred, row_true in zip(preds, truth):
@@ -472,7 +472,7 @@ def eval_cmd(config_path, seed, embeddings, vocab_dir, fingerprints, model_path,
 @click.option("--json-out", default=None, help="Also write the full report as JSON.")
 def bench_cmd(config_path, seed, embeddings, vocab_dir, fingerprints, whitelist, model_path,
               corpus, split_name, repetitions, max_traces, json_out):
-    """Benchmark filtered vs naive detection on a corpus split."""
+    """Time detect and detect-naive over the scored calls of a corpus split."""
     config = _load_config(config_path)
     corpus_dir = _pick(config, "corpus", corpus)
     if not corpus_dir:
@@ -489,12 +489,18 @@ def bench_cmd(config_path, seed, embeddings, vocab_dir, fingerprints, whitelist,
     cap = _pick(config, "max_traces", max_traces)
     if cap:
         traces = traces[: int(cap)]
-    report = bench_mod.run_bench(
-        traces, encoder, wl, db, model,
-        repetitions=_pick(config, "repetitions", repetitions, 3),
-    )
+    try:
+        report = bench_mod.run_bench(
+            traces, encoder, wl, db, model,
+            repetitions=_pick(config, "repetitions", repetitions, 3),
+        )
+    except ValueError as exc:
+        raise CliError(str(exc))
     e, n = report.engine, report.naive
-    click.echo(f"backend: {report.backend}   traces: {len(traces)}   reps: {report.repetitions}")
+    click.echo(
+        f"traces: {len(traces)}   scored calls: {e.non_whitelisted_calls}   "
+        f"reps: {report.repetitions}"
+    )
     click.echo(
         f"engine: median {e.latency.median_us:.1f} us  p99 {e.latency.p99_us:.1f} us  "
         f"comparisons/call {e.comparisons_per_call:.2f}"
@@ -504,23 +510,28 @@ def bench_cmd(config_path, seed, embeddings, vocab_dir, fingerprints, whitelist,
         f"comparisons/call {n.comparisons_per_call:.2f}"
     )
     click.echo(
-        f"comparison ratio (naive/engine): {report.comparison_ratio:.1f}x   "
-        f"latency ratio: {report.latency_ratio:.2f}x"
+        f"alarms: engine {e.alarms}  naive {n.alarms}  "
+        f"missed {report.missed}  extra {report.extra}"
     )
-    for backend, micro in report.kernel_micro.items():
-        click.echo(
-            f"kernels[{backend}]: forward {micro['mlp_forward_us']:.2f} us  "
-            f"cosine {micro['cosine_us']:.2f} us"
-        )
+    click.echo(
+        f"comparison ratio (naive/engine): {_times(report.comparison_ratio, 1)}   "
+        f"latency ratio: {_times(report.latency_ratio, 2)}"
+    )
     if json_out:
         Path(json_out).write_text(json.dumps(report.to_json_obj(), indent=1) + "\n")
     click.echo(json.dumps({
         "engine_median_us": e.latency.median_us,
         "naive_median_us": n.latency.median_us,
+        "missed": report.missed,
+        "extra": report.extra,
         "comparison_ratio": report.comparison_ratio,
+        "latency_ratio": report.latency_ratio,
         "param_count": report.param_count,
-        "backend": report.backend,
     }))
+
+
+def _times(ratio: float | None, digits: int) -> str:
+    return "n/a" if ratio is None else f"{ratio:.{digits}f}x"
 
 
 def main(argv=None) -> int:

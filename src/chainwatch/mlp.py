@@ -14,8 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kernels
-
 LAYER_SIZES = (151, 150, 100, 79)
 N_LABELS = LAYER_SIZES[-1]
 PARAM_COUNT = sum(
@@ -96,20 +94,29 @@ def init_model(seed: int = 0) -> MlpModel:
     return MlpModel(*params, seed=seed)
 
 
+def _sigmoid_stable(z: np.ndarray) -> np.ndarray:
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Probabilities for one encoded call, via the active kernel backend."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.shape != (LAYER_SIZES[0],):
-        raise ValueError(f"expected input shape ({LAYER_SIZES[0]},), got {x.shape}")
-    return kernels.mlp_forward(x, model.w1, model.b1, model.w2, model.b2, model.w3, model.b3)
+    """relu(W1 x + b1) -> relu(W2 . + b2) -> logistic(W3 . + b3).
 
-
-def forward_batch(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Vectorized forward pass over an (n, 151) batch (numpy path)."""
+    ``x`` is one encoded call of shape (151,), giving (79,) probabilities, or
+    a batch of shape (n, 151), giving (n, 79).
+    """
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.shape[-1] != LAYER_SIZES[0]:
+        raise ValueError(
+            f"expected input shape ({LAYER_SIZES[0]},) or (n, {LAYER_SIZES[0]}), got {x.shape}"
+        )
     h1 = np.maximum(x @ model.w1.T + model.b1, 0.0)
     h2 = np.maximum(h1 @ model.w2.T + model.b2, 0.0)
-    return kernels._sigmoid_stable(h2 @ model.w3.T + model.b3)
+    return _sigmoid_stable(h2 @ model.w3.T + model.b3)
 
 
 @dataclass(frozen=True)
@@ -123,6 +130,8 @@ def predict(model: MlpModel, x: np.ndarray, threshold: float = 0.5) -> ExploitPr
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"classification threshold must lie in (0, 1), got {threshold}")
     probs = forward(model, x)
+    if probs.ndim != 1:
+        raise ValueError(f"predict takes one call of shape ({LAYER_SIZES[0]},), got {np.shape(x)}")
     predicted = frozenset(int(i) for i in np.nonzero(probs >= threshold)[0])
     return ExploitPrediction(probabilities=probs, predicted=predicted)
 
@@ -147,7 +156,7 @@ def loss_and_grads(model: MlpModel, x: np.ndarray, t: np.ndarray):
     h1 = np.maximum(z1, 0.0)
     z2 = h1 @ model.w2.T + model.b2
     h2 = np.maximum(z2, 0.0)
-    y = kernels._sigmoid_stable(h2 @ model.w3.T + model.b3)
+    y = _sigmoid_stable(h2 @ model.w3.T + model.b3)
 
     dz3 = (y - t) / (n * N_LABELS)
     dw3 = dz3.T @ h2
@@ -199,7 +208,7 @@ def train(x: np.ndarray, t: np.ndarray, config: TrainConfig) -> tuple[MlpModel, 
 
     model = init_model(config.seed)
     rng = np.random.default_rng(config.seed)
-    initial_loss = bce_loss(forward_batch(model, x), t)
+    initial_loss = bce_loss(forward(model, x), t)
     epoch_losses = []
     n = x.shape[0]
     for _ in range(config.epochs):
@@ -212,7 +221,7 @@ def train(x: np.ndarray, t: np.ndarray, config: TrainConfig) -> tuple[MlpModel, 
             for name, grad in grads.items():
                 setattr(model, name, getattr(model, name) - config.learning_rate * grad)
         epoch_losses.append(float(np.mean(batch_losses)))
-    final_loss = bce_loss(forward_batch(model, x), t)
+    final_loss = bce_loss(forward(model, x), t)
     return model, TrainReport(initial_loss, final_loss, epoch_losses)
 
 
@@ -245,9 +254,9 @@ def grad_check(
         for j in rng.choice(flat.size, size=count, replace=False):
             orig = flat[j]
             flat[j] = orig + eps
-            loss_plus = bce_loss(forward_batch(work, x), t)
+            loss_plus = bce_loss(forward(work, x), t)
             flat[j] = orig - eps
-            loss_minus = bce_loss(forward_batch(work, x), t)
+            loss_minus = bce_loss(forward(work, x), t)
             flat[j] = orig
             numeric = (loss_plus - loss_minus) / (2.0 * eps)
             analytic = grads[name].reshape(-1)[j]

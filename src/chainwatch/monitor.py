@@ -17,7 +17,6 @@ from typing import Iterable
 
 import numpy as np
 
-from . import kernels
 from .encoder import VECTOR_DIM
 from .fingerprints import FingerprintDb
 
@@ -43,13 +42,23 @@ class MonitorEvent:
     similarity: float
 
 
+def _cosine(a, b) -> float:
+    """Cosine similarity; either operand with zero norm yields 0.0."""
+    na = np.sqrt(a @ a)
+    nb = np.sqrt(b @ b)
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    sim = float(a @ b) / (float(na) * float(nb))
+    return min(1.0, max(-1.0, sim))
+
+
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity of two equal-length vectors; zero norm maps to 0.0."""
     a = np.ascontiguousarray(a, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)
     if a.ndim != 1 or a.shape != b.shape:
         raise MonitorError(f"cosine expects equal-length vectors, got {a.shape} and {b.shape}")
-    return float(kernels.cosine(a, b))
+    return _cosine(a, b)
 
 
 class _ExploitState:
@@ -131,7 +140,7 @@ class StateTable:
         events = []
         for eid in candidate_list:
             state = self._states[eid]
-            sim = float(kernels.cosine(x, state.fingerprint.template_vectors[state.next_index]))
+            sim = _cosine(x, state.fingerprint.template_vectors[state.next_index])
             state.comparisons_made += 1
             self.total_comparisons += 1
             if sim >= threshold:

@@ -11,10 +11,10 @@ DATA_DIR = SRC_DIR / "chainwatch" / "data"
 FIXTURES = DATA_DIR / "fixtures"
 
 
-def child_env(**extra: str) -> dict[str, str]:
+def child_env() -> dict[str, str]:
     """Scrubbed environment for a child interpreter that imports chainwatch
-    from this checkout, installed or not; ``extra`` adds variables."""
-    return {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC_DIR), **extra}
+    from this checkout, installed or not."""
+    return {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC_DIR)}
 
 
 # Filled in by tests/test_acceptance.py; printed after the run so the

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from chainwatch import kernels
 from chainwatch.bench import LatencyStats, run_bench
-from chainwatch.engine import detect_naive
+from chainwatch.engine import detect, detect_naive
 from chainwatch.fingerprints import WhiteList
 from chainwatch.mlp import init_model
 from chainwatch.synthgen import mixed_trace
@@ -30,39 +29,96 @@ def bench_traces(small_world):
 
 
 def test_run_bench_counters_deterministic(small_world, small_db, encoder, whitelist, bench_traces):
-    """Comparison counts are timing-independent and match a direct engine run."""
+    """Comparison and alarm counts are timing-independent and match direct runs."""
     model = init_model(0)
     report = run_bench(
         bench_traces, encoder, whitelist, small_db, model, repetitions=1
     )
     # naive mode: every non-whitelisted call compares against all 6 exploits
     assert report.naive.comparisons_per_call == pytest.approx(6.0)
-    expected_naive = 0
-    expected_alarms = 0
-    for trace in bench_traces:
-        r = detect_naive(trace, encoder, whitelist, small_db)
-        expected_naive += r.summary.comparisons
-        expected_alarms += len(r.alarms)
-    assert report.naive.total_comparisons == expected_naive
-    assert report.naive.alarms == expected_alarms
+    keys = {}
+    for name, mode, run in (
+        ("naive", report.naive, lambda t: detect_naive(t, encoder, whitelist, small_db)),
+        ("engine", report.engine, lambda t: detect(t, encoder, whitelist, small_db, model)),
+    ):
+        results = [run(trace) for trace in bench_traces]
+        per_trace = [r.summary.comparisons for r in results]
+        assert mode.per_trace_comparisons == per_trace
+        assert mode.total_comparisons == sum(per_trace)
+        assert mode.alarms == sum(len(r.alarms) for r in results)
+        assert mode.non_whitelisted_calls == sum(r.summary.encoded_calls for r in results)
+        keys[name] = {
+            (i, a.offset, a.exploit_id) for i, r in enumerate(results) for a in r.alarms
+        }
+    # the untrained model misses some of the naive scan's alarms on these traces
+    assert report.missed == len(keys["naive"] - keys["engine"]) > 0
+    assert report.extra == len(keys["engine"] - keys["naive"])
+    assert report.comparison_ratio is None
+    assert report.param_count == 45879
+
+
+def test_ratios_when_alarms_agree(small_db, encoder, whitelist, bench_traces):
+    """A model that nominates every exploit raises every naive alarm."""
+    model = init_model(0)
+    model.b3[:] = 1000.0
+    report = run_bench(bench_traces, encoder, whitelist, small_db, model, repetitions=1)
+    assert report.engine.alarms == report.naive.alarms > 0
+    assert (report.missed, report.extra) == (0, 0)
     assert report.comparison_ratio == pytest.approx(
         report.naive.comparisons_per_call / report.engine.comparisons_per_call
     )
-    assert report.param_count == 45879
-    assert report.backend == kernels.ACTIVE_BACKEND
+    assert report.comparison_ratio == pytest.approx(1.0)
+    assert report.latency_ratio == pytest.approx(
+        report.naive.latency.median_us / report.engine.latency.median_us
+    )
 
 
 def test_run_bench_latency_fields_sane(small_db, encoder, whitelist, bench_traces):
     report = run_bench(bench_traces, encoder, whitelist, small_db, init_model(0), repetitions=2)
     for mode in (report.engine, report.naive):
-        assert mode.latency.calls == 2 * sum(len(t.calls) for t in bench_traces)
+        assert mode.latency.calls == 2 * mode.non_whitelisted_calls
         assert 0 <= mode.latency.min_us <= mode.latency.median_us <= mode.latency.p99_us
-    assert set(report.kernel_micro) == set(kernels.backends())
-    for micro in report.kernel_micro.values():
-        assert micro["mlp_forward_us"] > 0
-        assert micro["cosine_us"] > 0
+
+
+def test_latency_counts_only_scored_calls(small_db, encoder, bench_traces):
+    """White-listed calls are left out of the latency statistics."""
+    names = sorted({call.api_name for trace in bench_traces for call in trace.calls})
+    half = WhiteList(names[::2])
+    total = sum(len(trace.calls) for trace in bench_traces)
+    skipped = sum(call.api_name in half for trace in bench_traces for call in trace.calls)
+    assert 0.25 < skipped / total < 0.75
+
+    model = init_model(0)
+    report = run_bench(bench_traces, encoder, half, small_db, model, repetitions=2)
+    scored = sum(
+        detect(t, encoder, half, small_db, model).summary.encoded_calls for t in bench_traces
+    )
+    assert scored == total - skipped
+    for mode in (report.engine, report.naive):
+        assert mode.non_whitelisted_calls == scored
+        assert mode.latency.calls == 2 * scored
+
+
+def test_missed_alarms_give_no_ratio(small_db, encoder, whitelist, bench_traces):
+    """An engine that nominates nothing misses every naive alarm: no ratio."""
+    model = init_model(0)
+    model.b3[:] = -1000.0
+    report = run_bench(bench_traces, encoder, whitelist, small_db, model, repetitions=1)
+    assert report.engine.total_comparisons == 0
+    assert report.naive.alarms > 0
+    assert report.missed == report.naive.alarms
+    assert report.extra == 0
+    assert report.comparison_ratio is None
+    assert report.latency_ratio is None
+    assert report.to_json_obj()["agreement"] == {"missed": report.missed, "extra": 0}
 
 
 def test_run_bench_validates_repetitions(small_db, encoder, whitelist, bench_traces):
     with pytest.raises(ValueError):
         run_bench(bench_traces, encoder, whitelist, small_db, init_model(0), repetitions=0)
+
+
+def test_run_bench_needs_a_scored_call(small_db, encoder, bench_traces):
+    names = {call.api_name for trace in bench_traces for call in trace.calls}
+    with pytest.raises(ValueError, match="white-list"):
+        run_bench(bench_traces, encoder, WhiteList(names), small_db, init_model(0), repetitions=1)

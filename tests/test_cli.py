@@ -16,7 +16,7 @@ import pytest
 
 from chainwatch.cli import main
 from chainwatch.corpus import read_manifest
-from chainwatch.mlp import load_model
+from chainwatch.mlp import load_model, save_model
 from chainwatch.trace import serialize_trace_record
 
 from .conftest import FIXTURES, ROOT, child_env
@@ -319,12 +319,37 @@ class TestBench:
         assert rc == 0
         out = capsys.readouterr().out
         tail = _last_json(out)
-        assert tail["backend"] in ("numpy", "numba")
         assert tail["param_count"] == 45879
         assert tail["comparison_ratio"] > 1.0  # filtering must cut comparisons
         full = json.loads(json_out.read_text())
         assert full["engine"]["total_comparisons"] < full["naive"]["total_comparisons"]
-        assert "kernels[" in out
+        assert (tail["missed"], tail["extra"]) == (0, 0)
+        assert full["agreement"] == {"missed": 0, "extra": 0}
+        alarms = full["naive"]["alarms"]
+        assert f"alarms: engine {alarms}  naive {alarms}  missed 0  extra 0" in out
+
+    def test_no_ratio_when_engine_misses_alarms(
+        self, cli_corpus, cli_model, world_files, tmp_path, capsys
+    ):
+        """A model that nominates nothing misses every naive alarm."""
+        model = load_model(cli_model)
+        model.b3[:] = -1000.0
+        blind = tmp_path / "blind.cwmlp"
+        save_model(model, blind)
+        rc = main([
+            "bench", "--corpus", str(cli_corpus),
+            "--fingerprints", str(world_files["fingerprints"]),
+            "--model", str(blind),
+            "--max-traces", "3",
+            "--repetitions", "1",
+        ])
+        assert rc == 0
+        out = capsys.readouterr().out
+        tail = _last_json(out)
+        assert tail["missed"] > 0
+        assert tail["comparison_ratio"] is None
+        assert tail["latency_ratio"] is None
+        assert "comparison ratio (naive/engine): n/a   latency ratio: n/a" in out
 
 
 def test_usage_error_exit_1(capsys):

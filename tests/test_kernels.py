@@ -1,129 +1,47 @@
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
-from chainwatch import kernels
-from chainwatch.kernels import backends, cosine_numpy, mlp_forward_numpy
-
-from .conftest import child_env
-
-
-def _random_net(rng):
-    x = rng.standard_normal(151)
-    w1 = rng.standard_normal((150, 151)) * 0.1
-    b1 = rng.standard_normal(150) * 0.1
-    w2 = rng.standard_normal((100, 150)) * 0.1
-    b2 = rng.standard_normal(100) * 0.1
-    w3 = rng.standard_normal((79, 100)) * 0.1
-    b3 = rng.standard_normal(79) * 0.1
-    return x, w1, b1, w2, b2, w3, b3
-
-
-def test_backends_agree_on_forward():
-    """numpy and numba forward passes match to a whisker across random nets."""
-    table = backends()
-    if "numba" not in table:
-        pytest.skip("numba not installed")
-    rng = np.random.default_rng(42)
-    for _ in range(5):
-        args = _random_net(rng)
-        a = table["numpy"]["mlp_forward"](*args)
-        b = table["numba"]["mlp_forward"](*args)
-        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
-
-
-def test_backends_agree_on_cosine():
-    table = backends()
-    if "numba" not in table:
-        pytest.skip("numba not installed")
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        a = rng.standard_normal(151)
-        b = rng.standard_normal(151)
-        assert table["numba"]["cosine"](a, b) == pytest.approx(
-            table["numpy"]["cosine"](a, b), abs=1e-12
-        )
+from chainwatch.mlp import MlpModel, forward
+from chainwatch.monitor import cosine
 
 
 def test_cosine_basics():
     a = np.array([1.0, 0.0, 0.0])
-    assert cosine_numpy(a, a) == 1.0
-    assert cosine_numpy(a, -a) == -1.0
-    assert cosine_numpy(a, np.array([0.0, 1.0, 0.0])) == 0.0
+    assert cosine(a, a) == 1.0
+    assert cosine(a, -a) == -1.0
+    assert cosine(a, np.array([0.0, 1.0, 0.0])) == 0.0
 
 
 def test_cosine_zero_norm_is_zero():
     z = np.zeros(5)
     a = np.ones(5)
-    assert cosine_numpy(z, a) == 0.0
-    assert cosine_numpy(a, z) == 0.0
-    assert cosine_numpy(z, z) == 0.0
+    assert cosine(z, a) == 0.0
+    assert cosine(a, z) == 0.0
+    assert cosine(z, z) == 0.0
 
 
 def test_cosine_clamped():
     # parallel vectors can exceed 1.0 by rounding; must be clamped
     a = np.full(151, 0.1)
-    for impl in backends().values():
-        assert -1.0 <= impl["cosine"](a, a * 3.0) <= 1.0
+    assert -1.0 <= cosine(a, a * 3.0) <= 1.0
 
 
 def test_sigmoid_extreme_inputs_do_not_overflow():
-    x = np.zeros(2)
-    w1 = np.zeros((2, 2))
-    b1 = np.array([1000.0, 0.0])
-    w2 = np.eye(2)
-    b2 = np.zeros(2)
-    w3 = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
-    b3 = np.array([0.0, 0.0, -1000.0])
-    for impl in backends().values():
-        y = impl["mlp_forward"](x, w1, b1, w2, b2, w3, b3)
-        assert np.all(np.isfinite(y))
-        assert y[0] == pytest.approx(1.0)
-        assert y[1] == pytest.approx(0.0)
-        assert y[2] == pytest.approx(0.0)
-
-
-def test_active_backend_name():
-    assert kernels.ACTIVE_BACKEND in ("numpy", "numba")
-    if kernels.HAS_NUMBA:
-        assert kernels.ACTIVE_BACKEND == "numba"
-
-
-@pytest.mark.parametrize("choice", ["numpy", "numba"])
-def test_env_flag_selects_backend(choice):
-    """CHAINWATCH_BACKEND decides which implementation the module binds."""
-    code = (
-        "import chainwatch.kernels as k;"
-        "print(k.ACTIVE_BACKEND);"
-        "print(k.mlp_forward is k.mlp_forward_numpy)"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=child_env(CHAINWATCH_BACKEND=choice),
-        check=True,
-    )
-    active, is_numpy = out.stdout.split()
-    if choice == "numpy" or not kernels.HAS_NUMBA:
-        # forced numpy, or numba requested but missing: the quiet fallback
-        assert active == "numpy" and is_numpy == "True"
-    else:
-        # numba requested and importable in this interpreter
-        assert active in ("numba", "numpy")
-
-
-def test_env_flag_rejects_garbage():
-    code = "import chainwatch.kernels"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=child_env(CHAINWATCH_BACKEND="cuda"),
-    )
-    assert out.returncode != 0
-    # the import itself must succeed; the failure is _backend_choice's ValueError
-    assert "ModuleNotFoundError" not in out.stderr
-    assert "ValueError: CHAINWATCH_BACKEND must be 'numba' or 'numpy', got 'cuda'" in out.stderr
+    # zero input: hidden unit 0 carries b1[0] = 1000 through to output logits
+    # +1000 (label 0) and -1000 (label 1); label 2 gets a bias of -1000
+    w1 = np.zeros((150, 151))
+    b1 = np.zeros(150)
+    b1[0] = 1000.0
+    w2 = np.zeros((100, 150))
+    w2[0, 0] = 1.0
+    b2 = np.zeros(100)
+    w3 = np.zeros((79, 100))
+    w3[0, 0] = 1.0
+    w3[1, 0] = -1.0
+    b3 = np.zeros(79)
+    b3[2] = -1000.0
+    y = forward(MlpModel(w1, b1, w2, b2, w3, b3), np.zeros(151))
+    assert np.all(np.isfinite(y))
+    assert y[0] == pytest.approx(1.0)
+    assert y[1] == pytest.approx(0.0)
+    assert y[2] == pytest.approx(0.0)

@@ -2,7 +2,7 @@
 
 The forward pass is checked against a straight-line Python re-implementation
 (tests/oracles.py) plus output components frozen from an earlier run of that
-oracle, so the production kernels and the oracle cannot drift together
+oracle, so the production forward pass and the oracle cannot drift together
 unnoticed.
 """
 
@@ -19,7 +19,6 @@ from chainwatch.mlp import (
     TrainConfig,
     bce_loss,
     forward,
-    forward_batch,
     grad_check,
     init_model,
     load_model,
@@ -75,11 +74,23 @@ def test_forward_validates_shape():
         forward(init_model(0), np.zeros(150))
 
 
-def test_forward_batch_matches_single():
+@pytest.mark.parametrize("shape", [(), (2, 150), (1, 2, 151)])
+def test_forward_rejects_other_shapes(shape):
+    with pytest.raises(ValueError, match="shape"):
+        forward(init_model(0), np.zeros(shape))
+
+
+def test_predict_rejects_a_batch():
+    with pytest.raises(ValueError, match="one call"):
+        predict(init_model(0), np.zeros((2, 151)))
+
+
+def test_forward_2d_matches_1d():
+    """2-D input gives, row by row, what 1-D input gives."""
     m = init_model(seed=3)
     rng = np.random.default_rng(0)
     x = rng.standard_normal((8, 151))
-    batch = forward_batch(m, x)
+    batch = forward(m, x)
     for i in range(8):
         np.testing.assert_allclose(batch[i], forward(m, x[i]), rtol=0, atol=1e-12)
 
@@ -156,7 +167,7 @@ def test_loss_and_grads_loss_matches_bce():
     x = rng.standard_normal((6, 151))
     t = (rng.random((6, 79)) < 0.5).astype(float)
     loss, _ = loss_and_grads(m, x, t)
-    assert loss == pytest.approx(bce_loss(forward_batch(m, x), t), rel=1e-12)
+    assert loss == pytest.approx(bce_loss(forward(m, x), t), rel=1e-12)
 
 
 def test_overfits_single_example():
