@@ -23,8 +23,14 @@ from . import bench as bench_mod
 from . import corpus as corpus_mod
 from . import metrics, mlp, sdg as sdg_mod
 from .encoder import FeatureEncoder
-from .engine import EngineConfig, detect as run_engine_detect, detect_naive as run_engine_naive
+from .engine import (
+    DEFAULT_CLASSIFY_THRESHOLD,
+    EngineConfig,
+    detect as run_engine_detect,
+    detect_naive as run_engine_naive,
+)
 from .fingerprints import WhiteList, load_fingerprints
+from .monitor import DEFAULT_COSINE_THRESHOLD
 from .trace import read_trace
 
 _DATA = Path(__file__).parent / "data"
@@ -126,11 +132,10 @@ def cli():
 @cli.command()
 @click.argument("trace", default="-")
 @_config_opt
-@_seed_opt
 @_embeddings_opt
 @_vocab_opt
 @click.option("--out", default=None, help="Write vectors here instead of stdout.")
-def encode(trace, config_path, seed, embeddings, vocab_dir, out):
+def encode(trace, config_path, embeddings, vocab_dir, out):
     """Encode TRACE (path or '-') into 151-component feature vectors.
 
     One line per record: 151 decimal floats, space separated.
@@ -156,9 +161,12 @@ def encode(trace, config_path, seed, embeddings, vocab_dir, out):
 @click.option("--corpus", envvar="CHAINWATCH_CORPUS", default=None, help="Corpus directory.")
 @click.option("--out", "out_path", envvar="CHAINWATCH_MODEL_OUT", default=None,
               help="Where to write the trained model.")
-@click.option("--epochs", type=int, default=None, help="Training epochs (default 30).")
-@click.option("--lr", type=float, default=None, help="Learning rate (default 0.05).")
-@click.option("--batch-size", type=int, default=None, help="Minibatch size (default 32).")
+@click.option("--epochs", type=int, default=None,
+              help=f"Training epochs (default {mlp.TrainConfig.epochs}).")
+@click.option("--lr", type=float, default=None,
+              help=f"Learning rate (default {mlp.TrainConfig.learning_rate}).")
+@click.option("--batch-size", type=int, default=None,
+              help=f"Minibatch size (default {mlp.TrainConfig.batch_size}).")
 def train(config_path, seed, embeddings, vocab_dir, corpus, out_path, epochs, lr, batch_size):
     """Train the classifier on a corpus directory's train split."""
     config = _load_config(config_path)
@@ -170,10 +178,10 @@ def train(config_path, seed, embeddings, vocab_dir, corpus, out_path, epochs, lr
         raise CliError("an output model path is required (--out)")
     encoder = _encoder(config, embeddings, vocab_dir)
     train_cfg = mlp.TrainConfig(
-        learning_rate=_pick(config, "lr", lr, 0.05),
-        epochs=_pick(config, "epochs", epochs, 30),
-        batch_size=_pick(config, "batch_size", batch_size, 32),
-        seed=_pick(config, "seed", seed, 0),
+        learning_rate=_pick(config, "lr", lr, mlp.TrainConfig.learning_rate),
+        epochs=_pick(config, "epochs", epochs, mlp.TrainConfig.epochs),
+        batch_size=_pick(config, "batch_size", batch_size, mlp.TrainConfig.batch_size),
+        seed=_pick(config, "seed", seed, mlp.TrainConfig.seed),
     )
     try:
         manifest = corpus_mod.read_manifest(corpus_dir)
@@ -204,7 +212,7 @@ def _detect_common(trace, config_path, embeddings, vocab_dir, fingerprints, whit
     db = _load_db(config, fingerprints, encoder)
     wl = _load_whitelist(config, whitelist)
     parsed = _open_trace(trace, encoder)
-    cos = _pick(config, "threshold_cosine", threshold_cosine, 0.9)
+    cos = _pick(config, "threshold_cosine", threshold_cosine, DEFAULT_COSINE_THRESHOLD)
     halt = bool(_pick(config, "halt_on_alarm", True if halt_on_alarm else None, False))
     extra = config_extra(config) if config_extra else {}
     try:
@@ -230,25 +238,26 @@ def _emit_detection(ctx, result, out):
 @cli.command()
 @click.argument("trace", default="-")
 @_config_opt
-@_seed_opt
 @_embeddings_opt
 @_vocab_opt
 @_fingerprints_opt
 @_whitelist_opt
 @_model_opt
 @click.option("--threshold-classify", type=float, default=None,
-              help="Probability needed to nominate a candidate (default 0.5).")
+              help="Probability needed to nominate a candidate "
+                   f"(default {DEFAULT_CLASSIFY_THRESHOLD}).")
 @click.option("--threshold-cosine", type=float, default=None,
-              help="Similarity needed to advance a chain (default 0.9).")
+              help=f"Similarity needed to advance a chain (default {DEFAULT_COSINE_THRESHOLD}).")
 @click.option("--halt-on-alarm", is_flag=True, default=False,
               help="Stop at the first alarm instead of scanning the whole trace.")
 @click.option("--out", default=None, help="Write alarm records here instead of stdout.")
 @click.pass_context
-def detect(ctx, trace, config_path, seed, embeddings, vocab_dir, fingerprints, whitelist,
+def detect(ctx, trace, config_path, embeddings, vocab_dir, fingerprints, whitelist,
            model_path, threshold_classify, threshold_cosine, halt_on_alarm, out):
     """Scan TRACE with the classifier-filtered engine; alarms as JSON lines."""
     def extra(config):
-        return {"threshold_classify": _pick(config, "threshold_classify", threshold_classify, 0.5)}
+        return {"threshold_classify": _pick(config, "threshold_classify", threshold_classify,
+                                            DEFAULT_CLASSIFY_THRESHOLD)}
 
     config, encoder, db, wl, parsed, engine_cfg = _detect_common(
         trace, config_path, embeddings, vocab_dir, fingerprints, whitelist,
@@ -261,18 +270,17 @@ def detect(ctx, trace, config_path, seed, embeddings, vocab_dir, fingerprints, w
 @cli.command(name="detect-naive")
 @click.argument("trace", default="-")
 @_config_opt
-@_seed_opt
 @_embeddings_opt
 @_vocab_opt
 @_fingerprints_opt
 @_whitelist_opt
 @click.option("--threshold-cosine", type=float, default=None,
-              help="Similarity needed to advance a chain (default 0.9).")
+              help=f"Similarity needed to advance a chain (default {DEFAULT_COSINE_THRESHOLD}).")
 @click.option("--halt-on-alarm", is_flag=True, default=False,
               help="Stop at the first alarm instead of scanning the whole trace.")
 @click.option("--out", default=None, help="Write alarm records here instead of stdout.")
 @click.pass_context
-def detect_naive(ctx, trace, config_path, seed, embeddings, vocab_dir, fingerprints,
+def detect_naive(ctx, trace, config_path, embeddings, vocab_dir, fingerprints,
                  whitelist, threshold_cosine, halt_on_alarm, out):
     """Scan TRACE comparing every stored exploit on every call (no classifier)."""
     _, encoder, db, wl, parsed, engine_cfg = _detect_common(
@@ -354,7 +362,6 @@ def gen_dataset(config_path, seed, embeddings, vocab_dir, fingerprints, sdg_path
 
 @cli.command(name="eval")
 @_config_opt
-@_seed_opt
 @_embeddings_opt
 @_vocab_opt
 @_fingerprints_opt
@@ -365,8 +372,8 @@ def gen_dataset(config_path, seed, embeddings, vocab_dir, fingerprints, sdg_path
 @click.option("--predictions", default=None,
               help="Pre-computed per-call label lines; bypasses the model.")
 @click.option("--threshold", type=float, default=None,
-              help="Classification threshold (default 0.5).")
-def eval_cmd(config_path, seed, embeddings, vocab_dir, fingerprints, model_path, corpus,
+              help=f"Classification threshold (default {DEFAULT_CLASSIFY_THRESHOLD}).")
+def eval_cmd(config_path, embeddings, vocab_dir, fingerprints, model_path, corpus,
              split_name, predictions, threshold):
     """Score per-call exploit predictions against a corpus split's labels.
 
@@ -387,7 +394,7 @@ def eval_cmd(config_path, seed, embeddings, vocab_dir, fingerprints, model_path,
         raise CliError(str(exc))
 
     tables = metrics.new_tables(n_labels)
-    thr = _pick(config, "threshold", threshold, 0.5)
+    thr = _pick(config, "threshold", threshold, DEFAULT_CLASSIFY_THRESHOLD)
     if predictions:
         try:
             pred_sets = corpus_mod._read_labels(Path(predictions))
@@ -459,7 +466,6 @@ def eval_cmd(config_path, seed, embeddings, vocab_dir, fingerprints, model_path,
 
 @cli.command(name="bench")
 @_config_opt
-@_seed_opt
 @_embeddings_opt
 @_vocab_opt
 @_fingerprints_opt
@@ -470,7 +476,7 @@ def eval_cmd(config_path, seed, embeddings, vocab_dir, fingerprints, model_path,
 @click.option("--repetitions", type=int, default=None, help="Measured passes (default 3).")
 @click.option("--max-traces", type=int, default=None, help="Cap the number of traces benchmarked.")
 @click.option("--json-out", default=None, help="Also write the full report as JSON.")
-def bench_cmd(config_path, seed, embeddings, vocab_dir, fingerprints, whitelist, model_path,
+def bench_cmd(config_path, embeddings, vocab_dir, fingerprints, whitelist, model_path,
               corpus, split_name, repetitions, max_traces, json_out):
     """Time detect and detect-naive over the scored calls of a corpus split."""
     config = _load_config(config_path)

@@ -66,7 +66,6 @@ class SessionSummary:
     classifier_invocations: int = 0
     monitor_steps: int = 0
     comparisons: int = 0
-    comparisons_on_whitelisted: int = 0
     advanced_events: int = 0
     no_match_events: int = 0
     alarms: int = 0
@@ -106,7 +105,6 @@ def run_detection(
     candidate_fn: CandidateFn,
     config: EngineConfig,
     count_classifier: bool = True,
-    trace_id: str | None = None,
 ) -> DetectionResult:
     """Run the pipeline over one trace against an existing state table.
 
@@ -115,10 +113,10 @@ def run_detection(
     """
     if isinstance(trace, Trace):
         calls = trace.calls
-        tid = trace_id if trace_id is not None else trace.source_id
+        tid = trace.source_id
     else:
         calls = list(trace)
-        tid = trace_id if trace_id is not None else "<calls>"
+        tid = "<calls>"
 
     summary = SessionSummary(trace_id=tid)
     alarms: list[AlarmRecord] = []
@@ -136,10 +134,9 @@ def run_detection(
         candidates = candidate_fn(x)
         if not candidates:
             continue
-        before = table.total_comparisons
         step_events = table.step(candidates, x, offset, threshold=config.threshold_cosine)
         summary.monitor_steps += 1
-        summary.comparisons += table.total_comparisons - before
+        summary.comparisons += len(step_events)
         events.extend(step_events)
         for event in step_events:
             if event.kind is EventKind.ALARM:

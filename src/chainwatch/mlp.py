@@ -177,7 +177,7 @@ def loss_and_grads(model: MlpModel, x: np.ndarray, t: np.ndarray):
 @dataclass
 class TrainConfig:
     learning_rate: float = 0.05
-    epochs: int = 10
+    epochs: int = 30
     batch_size: int = 32
     seed: int = 0
 

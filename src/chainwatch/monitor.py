@@ -7,6 +7,9 @@ the final template raises an alarm and rewinds that exploit to the start.
 Exploits outside the candidate set are left untouched, which is what makes
 classifier-driven filtering sound: filtering only ever skips comparisons, it
 never changes what a tracked candidate would do.
+
+The table holds only these cursors.  Comparisons, steps and alarms are counted
+from the returned events, in the engine's ``SessionSummary``.
 """
 
 from __future__ import annotations
@@ -61,56 +64,20 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return _cosine(a, b)
 
 
-class _ExploitState:
-    __slots__ = ("fingerprint", "next_index", "comparisons_made", "alarms_raised")
-
-    def __init__(self, fingerprint):
-        self.fingerprint = fingerprint
-        self.next_index = 0
-        self.comparisons_made = 0
-        self.alarms_raised = 0
-
-
 class StateTable:
-    """Per-exploit chain positions plus comparison/alarm counters."""
+    """Per-exploit chain positions: the index of each exploit's next template.
+
+    Tables built over one database share it and keep separate cursors.
+    """
 
     def __init__(self, db: FingerprintDb):
         if len(db) == 0:
             raise MonitorError("cannot build a state table from an empty fingerprint database")
         self.db = db
-        self._states = {eid: _ExploitState(db[eid]) for eid in db.exploit_ids}
-        self.steps_taken = 0
-        self.total_comparisons = 0
-        self.total_alarms = 0
-
-    @property
-    def exploit_ids(self) -> tuple[int, ...]:
-        return tuple(self._states)
+        self._next = dict.fromkeys(db.exploit_ids, 0)
 
     def next_index(self, exploit_id: int) -> int:
-        return self._states[exploit_id].next_index
-
-    def next_vector(self, exploit_id: int) -> np.ndarray:
-        state = self._states[exploit_id]
-        return state.fingerprint.template_vectors[state.next_index]
-
-    def comparisons_made(self, exploit_id: int) -> int:
-        return self._states[exploit_id].comparisons_made
-
-    def alarms_raised(self, exploit_id: int) -> int:
-        return self._states[exploit_id].alarms_raised
-
-    def clone(self) -> "StateTable":
-        dup = StateTable(self.db)
-        for eid, state in self._states.items():
-            mirror = dup._states[eid]
-            mirror.next_index = state.next_index
-            mirror.comparisons_made = state.comparisons_made
-            mirror.alarms_raised = state.alarms_raised
-        dup.steps_taken = self.steps_taken
-        dup.total_comparisons = self.total_comparisons
-        dup.total_alarms = self.total_alarms
-        return dup
+        return self._next[exploit_id]
 
     def step(
         self,
@@ -133,25 +100,21 @@ class StateTable:
             raise MonitorError(f"expected feature vector of shape ({VECTOR_DIM},), got {x.shape}")
         candidate_list = sorted(set(candidates))
         for eid in candidate_list:
-            if eid not in self._states:
+            if eid not in self._next:
                 raise MonitorError(f"candidate exploit id {eid} is not in the state table")
 
-        self.steps_taken += 1
+        fingerprints = self.db.fingerprints
         events = []
         for eid in candidate_list:
-            state = self._states[eid]
-            sim = _cosine(x, state.fingerprint.template_vectors[state.next_index])
-            state.comparisons_made += 1
-            self.total_comparisons += 1
+            fp = fingerprints[eid]
+            i = self._next[eid]
+            sim = _cosine(x, fp.template_vectors[i])
             if sim >= threshold:
-                last = state.next_index == len(state.fingerprint) - 1
-                if last:
-                    state.next_index = 0
-                    state.alarms_raised += 1
-                    self.total_alarms += 1
+                if i == len(fp) - 1:
+                    self._next[eid] = 0
                     kind = EventKind.ALARM
                 else:
-                    state.next_index += 1
+                    self._next[eid] = i + 1
                     kind = EventKind.ADVANCED
             else:
                 kind = EventKind.NO_MATCH
@@ -159,15 +122,9 @@ class StateTable:
                 MonitorEvent(
                     kind=kind,
                     exploit_id=eid,
-                    cwe_id=state.fingerprint.cwe_id,
+                    cwe_id=fp.cwe_id,
                     trace_offset=trace_offset,
                     similarity=sim,
                 )
             )
         return events
-
-    def comparisons_per_call(self) -> float:
-        """Mean comparisons per step taken so far."""
-        if self.steps_taken == 0:
-            raise MonitorError("no steps taken yet")
-        return self.total_comparisons / self.steps_taken

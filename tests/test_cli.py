@@ -356,6 +356,13 @@ def test_usage_error_exit_1(capsys):
     assert main(["no-such-command"]) == 1
 
 
+@pytest.mark.parametrize("command", ("encode", "detect", "detect-naive", "eval", "bench"))
+def test_seed_only_where_it_is_read(command, capsys):
+    """Only train and gen-dataset draw random numbers, so only they take --seed."""
+    assert main([command, "--seed", "1"]) == 1
+    assert "--seed" in capsys.readouterr().err
+
+
 @pytest.mark.skipif(
     shutil.which("chainwatch") is None,
     reason="no chainwatch console script on PATH (package not installed)",

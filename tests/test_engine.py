@@ -69,7 +69,8 @@ def test_whitelist_short_circuits(sql_db, encoder, small_world):
     assert s.whitelisted_calls == 1
     assert s.encoded_calls == 2
     assert s.monitor_steps == 2
-    assert s.comparisons_on_whitelisted == 0
+    # no event carries the white-listed offset 0
+    assert [e.trace_offset for e in result.events] == [1, 2]
     # source never seen, so the chain cannot complete
     assert result.alarms == []
 
@@ -86,7 +87,8 @@ def test_empty_candidates_skip_monitor(sql_db, encoder):
     assert s.encoded_calls == 3
     assert s.monitor_steps == 0
     assert s.comparisons == 0
-    assert table.steps_taken == 0
+    assert result.events == []
+    assert table.next_index(0) == 0
 
 
 def test_halt_on_alarm(sql_db, encoder):
@@ -178,6 +180,18 @@ def test_detect_with_model_smoke(sql_db, encoder):
     assert s.classifier_invocations == 3
     assert s.monitor_steps == s.comparisons  # single-exploit db
     assert s.alarms == len(result.alarms)
+    assert s.advanced_events + s.no_match_events + s.alarms == s.comparisons
+
+
+def test_naive_comparisons_match_events(small_world, small_db, encoder, whitelist):
+    """Naive mode counts one comparison per event, on a multi-exploit database."""
+    rng = np.random.default_rng(41)
+    calls = mixed_trace(small_world, rng, length=100, plant=3)
+    result = detect_naive(Trace("n", calls), encoder, whitelist, small_db)
+    s = result.summary
+    assert len(small_db) > 1
+    assert s.alarms > 0
+    assert s.comparisons == len(result.events) == s.monitor_steps * len(small_db)
     assert s.advanced_events + s.no_match_events + s.alarms == s.comparisons
 
 

@@ -24,6 +24,10 @@ from chainwatch.synthgen import mixed_trace
 from .oracles import NaiveChainMatcher
 
 
+def _alarms(events):
+    return sum(e.kind is EventKind.ALARM for e in events)
+
+
 def test_default_threshold():
     assert DEFAULT_COSINE_THRESHOLD == 0.9
 
@@ -81,17 +85,16 @@ def test_advance_alarm_reset(sql_db):
     assert events[0].trace_offset == 2
     assert events[0].similarity == pytest.approx(1.0, abs=1e-12)
     assert table.next_index(0) == 0  # rewound
-    assert table.alarms_raised(0) == 1
-    assert table.total_alarms == 1
 
 
 def test_repeated_chain_alarms_again(sql_db):
     table = StateTable(sql_db)
     vecs = sql_db[0].template_vectors
+    events = []
     for _ in range(3):
         for off, v in enumerate(vecs):
-            table.step([0], v, off)
-    assert table.alarms_raised(0) == 3
+            events += table.step([0], v, off)
+    assert _alarms(events) == 3
 
 
 def test_no_match_leaves_state(sql_db):
@@ -105,19 +108,21 @@ def test_no_match_leaves_state(sql_db):
 def test_out_of_order_chain_never_alarms(sql_db):
     table = StateTable(sql_db)
     vecs = sql_db[0].template_vectors
+    events = []
     for off, v in enumerate([vecs[2], vecs[1], vecs[0]]):
-        events = table.step([0], v, off)
-        assert events[0].kind != EventKind.ALARM
-    assert table.total_alarms == 0
+        events += table.step([0], v, off)
+    assert len(events) == 3
+    assert _alarms(events) == 0
 
 
 def test_non_candidates_untouched(small_db, encoder, small_world):
     table = StateTable(small_db)
     first = small_world.chains[0][0]
-    table.step([0], encoder.encode(first), 0)
+    events = table.step([0], encoder.encode(first), 0)
     assert table.next_index(0) == 1
+    assert [e.exploit_id for e in events] == [0]
     for eid in small_db.exploit_ids[1:]:
-        assert table.comparisons_made(eid) == 0
+        assert table.next_index(eid) == 0
 
 
 def test_events_sorted_and_one_per_candidate(small_db, encoder):
@@ -126,7 +131,6 @@ def test_events_sorted_and_one_per_candidate(small_db, encoder):
     events = table.step([5, 0, 3, 1], x, 7)
     assert [e.exploit_id for e in events] == [0, 1, 3, 5]
     assert all(e.trace_offset == 7 for e in events)
-    assert table.total_comparisons == 4
 
 
 def test_duplicate_candidates_collapse(small_db, encoder):
@@ -134,7 +138,6 @@ def test_duplicate_candidates_collapse(small_db, encoder):
     x = encoder.encode(small_db[0].templates[0])
     events = table.step([0, 0, 0], x, 0)
     assert len(events) == 1
-    assert table.total_comparisons == 1
 
 
 def test_unknown_candidate_rejected(sql_db):
@@ -158,30 +161,17 @@ def test_bad_vector_shape(sql_db):
         table.step([0], np.zeros(150), 0)
 
 
-def test_counters(sql_db):
+def test_tables_over_one_db_keep_separate_cursors(sql_db):
     table = StateTable(sql_db)
-    with pytest.raises(MonitorError):
-        table.comparisons_per_call()
+    other = StateTable(sql_db)
     vecs = sql_db[0].template_vectors
     table.step([0], vecs[0], 0)
-    table.step([], vecs[1], 1)  # step with no candidates still counts as a step
-    table.step([0], vecs[1], 2)
-    assert table.steps_taken == 3
-    assert table.total_comparisons == 2
-    assert table.comparisons_per_call() == pytest.approx(2 / 3)
-    assert table.comparisons_made(0) == 2
-
-
-def test_clone_is_independent(sql_db):
-    table = StateTable(sql_db)
-    vecs = sql_db[0].template_vectors
-    table.step([0], vecs[0], 0)
-    dup = table.clone()
-    assert dup.next_index(0) == 1
-    assert dup.total_comparisons == table.total_comparisons
+    assert table.next_index(0) == 1
+    assert other.next_index(0) == 0  # unaffected
+    other.step([0], vecs[0], 0)
     table.step([0], vecs[1], 1)
     assert table.next_index(0) == 2
-    assert dup.next_index(0) == 1  # unaffected
+    assert other.next_index(0) == 1
 
 
 def test_candidate_filtering_is_sound(small_world, small_db, encoder):
@@ -195,15 +185,20 @@ def test_candidate_filtering_is_sound(small_world, small_db, encoder):
     full = StateTable(small_db)
     part = StateTable(small_db)
     subset = [0, 2, 4]
+    full_events, part_events = [], []
     for off, call in enumerate(calls):
         x = encoder.encode(call)
-        full.step(small_db.exploit_ids, x, off)
-        part.step(subset, x, off)
+        full_events += full.step(small_db.exploit_ids, x, off)
+        part_events += part.step(subset, x, off)
+    assert _alarms(part_events) > 0  # the property must not pass vacuously
     for eid in subset:
         assert part.next_index(eid) == full.next_index(eid)
-        assert part.alarms_raised(eid) == full.alarms_raised(eid)
+        assert [e for e in part_events if e.exploit_id == eid] == [
+            e for e in full_events if e.exploit_id == eid
+        ]
+    assert {e.exploit_id for e in part_events} <= set(subset)
     for eid in set(small_db.exploit_ids) - set(subset):
-        assert part.comparisons_made(eid) == 0
+        assert part.next_index(eid) == 0
 
 
 def _alarmed_set(world, db, encoder, seed, threshold):
