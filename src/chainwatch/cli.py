@@ -1,9 +1,15 @@
 """Command-line interface.
 
 Subcommands: encode, train, detect, detect-naive, gen-dataset, eval, bench.
-Every path flag can also come from an environment variable (shown in
-``--help``) or from a JSON config file passed with ``--config``; explicit
-flags win over environment variables, which win over the config file.
+
+Every flag value resolves as: the flag itself, then its environment
+variable, then its key in the JSON file given with ``--config``, then the
+default. Config keys are the flag names without leading dashes, with
+underscores for inner dashes (``--threshold-cosine`` is
+``threshold_cosine``); values are converted and checked as the flag's
+would be. A key that names no flag of any subcommand is an error, while a
+key of another subcommand is ignored, so one file can serve every command.
+``--help`` shows each flag's default and environment variable.
 
 Exit codes: 0 = clean run, 2 = detection run that raised at least one alarm,
 1 = any error (bad usage, unreadable input, malformed file).
@@ -12,7 +18,6 @@ Exit codes: 0 = clean run, 2 = detection run that raised at least one alarm,
 from __future__ import annotations
 
 import json
-import sys
 from pathlib import Path
 
 import click
@@ -38,92 +43,64 @@ DEFAULT_WHITELIST = _DATA / "fixtures" / "whitelist.txt"
 DEFAULT_BENIGN_POOL = _DATA / "fixtures" / "benign_pool.jsonl"
 
 
-class CliError(click.ClickException):
-    exit_code = 1
-
-
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
+def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
+    """Make the JSON object in ``path`` the command's ``default_map``."""
+    if path is None:
+        return
     try:
-        obj = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliError(f"config file {path}: {exc}")
-    if not isinstance(obj, dict):
-        raise CliError(f"config file {path}: expected a JSON object")
-    return obj
+        config = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise click.BadParameter(f"{path}: {exc}", ctx, param)
+    if not isinstance(config, dict):
+        raise click.BadParameter(f"{path}: expected a JSON object", ctx, param)
+    known = {p.name for cmd in cli.commands.values() for p in cmd.params if p.expose_value}
+    unknown = sorted(set(config) - known)
+    if unknown:
+        raise click.BadParameter(f"{path}: unknown key(s): {', '.join(unknown)}", ctx, param)
+    ctx.default_map = config
 
 
-def _pick(config: dict, key: str, flag_value, default=None):
-    if flag_value is not None:
-        return flag_value
-    return config.get(key, default)
+def _read_trace(path: str, encoder: FeatureEncoder):
+    with click.open_file(path) as fh:
+        return read_trace(fh, encoder.vocabs, source_id="<stdin>" if path == "-" else path)
 
 
-def _encoder(config: dict, embeddings, vocab_dir) -> FeatureEncoder:
-    try:
-        return FeatureEncoder.from_paths(
-            _pick(config, "embeddings", embeddings),
-            _pick(config, "vocab_dir", vocab_dir),
-        )
-    except (OSError, ValueError) as exc:
-        raise CliError(str(exc))
-
-
-def _open_trace(source: str, encoder: FeatureEncoder):
-    try:
-        if source == "-":
-            return read_trace(sys.stdin, encoder.vocabs, source_id="<stdin>")
-        with open(source) as fh:
-            return read_trace(fh, encoder.vocabs, source_id=source)
-    except (OSError, ValueError) as exc:
-        raise CliError(str(exc))
-
-
-def _load_db(config: dict, fingerprints, encoder):
-    path = _pick(config, "fingerprints", fingerprints)
-    if not path:
-        raise CliError("a fingerprint file is required (--fingerprints)")
-    try:
-        return load_fingerprints(path, encoder)
-    except (OSError, ValueError) as exc:
-        raise CliError(str(exc))
-
-
-def _load_whitelist(config: dict, whitelist) -> WhiteList:
-    path = _pick(config, "whitelist", whitelist, str(DEFAULT_WHITELIST))
-    try:
-        return WhiteList.from_file(path)
-    except OSError as exc:
-        raise CliError(str(exc))
-
-
-def _load_model(config: dict, model_path) -> mlp.MlpModel:
-    path = _pick(config, "model", model_path)
-    if not path:
-        raise CliError("a model file is required (--model)")
-    try:
-        return mlp.load_model(path)
-    except (OSError, ValueError) as exc:
-        raise CliError(str(exc))
-
-
-_config_opt = click.option("--config", "config_path", envvar="CHAINWATCH_CONFIG", default=None,
+_config_opt = click.option("--config", envvar="CHAINWATCH_CONFIG", show_envvar=True,
+                           is_eager=True, expose_value=False, callback=_load_config,
                            help="JSON file supplying defaults for any flag.")
-_seed_opt = click.option("--seed", type=int, default=None, help="Deterministic seed.")
-_embeddings_opt = click.option("--embeddings", envvar="CHAINWATCH_EMBEDDINGS", default=None,
-                               help="Embedding table file (default: bundled).")
-_vocab_opt = click.option("--vocab-dir", envvar="CHAINWATCH_VOCAB_DIR", default=None,
-                          help="Vocabulary directory (default: bundled).")
-_fingerprints_opt = click.option("--fingerprints", envvar="CHAINWATCH_FINGERPRINTS", default=None,
-                                 help="Fingerprint database file.")
-_whitelist_opt = click.option("--whitelist", envvar="CHAINWATCH_WHITELIST", default=None,
-                              help="White-listed API names, one per line (default: bundled).")
-_model_opt = click.option("--model", "model_path", envvar="CHAINWATCH_MODEL", default=None,
-                          help="Trained classifier file.")
+_seed_opt = click.option("--seed", type=int, default=mlp.TrainConfig.seed,
+                         help="Deterministic seed.")
+_embeddings_opt = click.option("--embeddings", envvar="CHAINWATCH_EMBEDDINGS", show_envvar=True,
+                               show_default="bundled", help="Embedding table file.")
+_vocab_opt = click.option("--vocab-dir", envvar="CHAINWATCH_VOCAB_DIR", show_envvar=True,
+                          show_default="bundled", help="Vocabulary directory.")
+_whitelist_opt = click.option("--whitelist", envvar="CHAINWATCH_WHITELIST", show_envvar=True,
+                              default=str(DEFAULT_WHITELIST), show_default="bundled",
+                              help="White-listed API names, one per line.")
+_corpus_opt = click.option("--corpus", envvar="CHAINWATCH_CORPUS", show_envvar=True,
+                           required=True, help="Corpus directory.")
+_threshold_cosine_opt = click.option("--threshold-cosine", type=float,
+                                     default=DEFAULT_COSINE_THRESHOLD,
+                                     help="Similarity needed to advance a chain.")
+_halt_opt = click.option("--halt-on-alarm", is_flag=True,
+                         help="Stop at the first alarm instead of scanning the whole trace.")
+_alarm_out_opt = click.option("--out", default="-",
+                              help="Write alarm records here instead of stdout.")
+_split_name_opt = click.option("--split-name", default="test",
+                               help="Which corpus split to use.")
 
 
-@click.group()
+def _fingerprints_opt(required: bool = True):
+    return click.option("--fingerprints", envvar="CHAINWATCH_FINGERPRINTS", show_envvar=True,
+                        required=required, help="Fingerprint database file.")
+
+
+def _model_opt(required: bool = True):
+    return click.option("--model", envvar="CHAINWATCH_MODEL", show_envvar=True,
+                        required=required, help="Trained classifier file.")
+
+
+@click.group(context_settings={"show_default": True})
 @click.version_option(__version__, prog_name="chainwatch")
 def cli():
     """Streaming exploit-chain detection over instruction-call traces."""
@@ -134,23 +111,18 @@ def cli():
 @_config_opt
 @_embeddings_opt
 @_vocab_opt
-@click.option("--out", default=None, help="Write vectors here instead of stdout.")
-def encode(trace, config_path, embeddings, vocab_dir, out):
+@click.option("--out", default="-", help="Write vectors here instead of stdout.")
+def encode(trace, embeddings, vocab_dir, out):
     """Encode TRACE (path or '-') into 151-component feature vectors.
 
     One line per record: 151 decimal floats, space separated.
     """
-    config = _load_config(config_path)
-    encoder = _encoder(config, embeddings, vocab_dir)
-    parsed = _open_trace(trace, encoder)
-    sink = open(out, "w") if out else sys.stdout
-    try:
+    encoder = FeatureEncoder.from_paths(embeddings, vocab_dir)
+    parsed = _read_trace(trace, encoder)
+    with click.open_file(out, "w") as sink:
         for call in parsed.calls:
             vec = encoder.encode(call)
             sink.write(" ".join(format(v, ".17g") for v in vec) + "\n")
-    finally:
-        if out:
-            sink.close()
 
 
 @cli.command()
@@ -158,41 +130,24 @@ def encode(trace, config_path, embeddings, vocab_dir, out):
 @_seed_opt
 @_embeddings_opt
 @_vocab_opt
-@click.option("--corpus", envvar="CHAINWATCH_CORPUS", default=None, help="Corpus directory.")
-@click.option("--out", "out_path", envvar="CHAINWATCH_MODEL_OUT", default=None,
+@_corpus_opt
+@click.option("--out", envvar="CHAINWATCH_MODEL_OUT", show_envvar=True, required=True,
               help="Where to write the trained model.")
-@click.option("--epochs", type=int, default=None,
-              help=f"Training epochs (default {mlp.TrainConfig.epochs}).")
-@click.option("--lr", type=float, default=None,
-              help=f"Learning rate (default {mlp.TrainConfig.learning_rate}).")
-@click.option("--batch-size", type=int, default=None,
-              help=f"Minibatch size (default {mlp.TrainConfig.batch_size}).")
-def train(config_path, seed, embeddings, vocab_dir, corpus, out_path, epochs, lr, batch_size):
+@click.option("--epochs", type=int, default=mlp.TrainConfig.epochs, help="Training epochs.")
+@click.option("--lr", type=float, default=mlp.TrainConfig.learning_rate, help="Learning rate.")
+@click.option("--batch-size", type=int, default=mlp.TrainConfig.batch_size,
+              help="Minibatch size.")
+def train(seed, embeddings, vocab_dir, corpus, out, epochs, lr, batch_size):
     """Train the classifier on a corpus directory's train split."""
-    config = _load_config(config_path)
-    corpus_dir = _pick(config, "corpus", corpus)
-    out_path = _pick(config, "out", out_path)
-    if not corpus_dir:
-        raise CliError("a corpus directory is required (--corpus)")
-    if not out_path:
-        raise CliError("an output model path is required (--out)")
-    encoder = _encoder(config, embeddings, vocab_dir)
-    train_cfg = mlp.TrainConfig(
-        learning_rate=_pick(config, "lr", lr, mlp.TrainConfig.learning_rate),
-        epochs=_pick(config, "epochs", epochs, mlp.TrainConfig.epochs),
-        batch_size=_pick(config, "batch_size", batch_size, mlp.TrainConfig.batch_size),
-        seed=_pick(config, "seed", seed, mlp.TrainConfig.seed),
-    )
-    try:
-        manifest = corpus_mod.read_manifest(corpus_dir)
-        items = corpus_mod.load_split(corpus_dir, "train", encoder.vocabs)
-        x, t = corpus_mod.build_xy(items, encoder, manifest["n_labels"])
-        model, report = mlp.train(x, t, train_cfg)
-        mlp.save_model(model, out_path)
-    except (OSError, ValueError) as exc:
-        raise CliError(str(exc))
+    encoder = FeatureEncoder.from_paths(embeddings, vocab_dir)
+    train_cfg = mlp.TrainConfig(learning_rate=lr, epochs=epochs, batch_size=batch_size, seed=seed)
+    manifest = corpus_mod.read_manifest(corpus)
+    items = corpus_mod.load_split(corpus, "train", encoder.vocabs)
+    x, t = corpus_mod.build_xy(items, encoder, manifest["n_labels"])
+    model, report = mlp.train(x, t, train_cfg)
+    mlp.save_model(model, out)
     click.echo(json.dumps({
-        "model": str(out_path),
+        "model": str(out),
         "examples": int(x.shape[0]),
         "traces": len(items),
         "epochs": train_cfg.epochs,
@@ -205,31 +160,10 @@ def train(config_path, seed, embeddings, vocab_dir, corpus, out_path, epochs, lr
     }))
 
 
-def _detect_common(trace, config_path, embeddings, vocab_dir, fingerprints, whitelist,
-                   threshold_cosine, halt_on_alarm, config_extra=None):
-    config = _load_config(config_path)
-    encoder = _encoder(config, embeddings, vocab_dir)
-    db = _load_db(config, fingerprints, encoder)
-    wl = _load_whitelist(config, whitelist)
-    parsed = _open_trace(trace, encoder)
-    cos = _pick(config, "threshold_cosine", threshold_cosine, DEFAULT_COSINE_THRESHOLD)
-    halt = bool(_pick(config, "halt_on_alarm", True if halt_on_alarm else None, False))
-    extra = config_extra(config) if config_extra else {}
-    try:
-        engine_cfg = EngineConfig(threshold_cosine=cos, halt_on_alarm=halt, **extra)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    return config, encoder, db, wl, parsed, engine_cfg
-
-
 def _emit_detection(ctx, result, out):
-    sink = open(out, "w") if out else sys.stdout
-    try:
+    with click.open_file(out, "w") as sink:
         for alarm in result.alarms:
             sink.write(json.dumps(alarm.to_json_obj()) + "\n")
-    finally:
-        if out:
-            sink.close()
     click.echo(json.dumps(result.summary.to_json_obj()), err=True)
     if result.alarms:
         ctx.exit(2)
@@ -240,30 +174,26 @@ def _emit_detection(ctx, result, out):
 @_config_opt
 @_embeddings_opt
 @_vocab_opt
-@_fingerprints_opt
+@_fingerprints_opt()
 @_whitelist_opt
-@_model_opt
-@click.option("--threshold-classify", type=float, default=None,
-              help="Probability needed to nominate a candidate "
-                   f"(default {DEFAULT_CLASSIFY_THRESHOLD}).")
-@click.option("--threshold-cosine", type=float, default=None,
-              help=f"Similarity needed to advance a chain (default {DEFAULT_COSINE_THRESHOLD}).")
-@click.option("--halt-on-alarm", is_flag=True, default=False,
-              help="Stop at the first alarm instead of scanning the whole trace.")
-@click.option("--out", default=None, help="Write alarm records here instead of stdout.")
+@_model_opt()
+@click.option("--threshold-classify", type=float, default=DEFAULT_CLASSIFY_THRESHOLD,
+              help="Probability needed to nominate a candidate.")
+@_threshold_cosine_opt
+@_halt_opt
+@_alarm_out_opt
 @click.pass_context
-def detect(ctx, trace, config_path, embeddings, vocab_dir, fingerprints, whitelist,
-           model_path, threshold_classify, threshold_cosine, halt_on_alarm, out):
+def detect(ctx, trace, embeddings, vocab_dir, fingerprints, whitelist, model,
+           threshold_classify, threshold_cosine, halt_on_alarm, out):
     """Scan TRACE with the classifier-filtered engine; alarms as JSON lines."""
-    def extra(config):
-        return {"threshold_classify": _pick(config, "threshold_classify", threshold_classify,
-                                            DEFAULT_CLASSIFY_THRESHOLD)}
-
-    config, encoder, db, wl, parsed, engine_cfg = _detect_common(
-        trace, config_path, embeddings, vocab_dir, fingerprints, whitelist,
-        threshold_cosine, halt_on_alarm, extra)
-    model = _load_model(config, model_path)
-    result = run_engine_detect(parsed, encoder, wl, db, model, engine_cfg)
+    encoder = FeatureEncoder.from_paths(embeddings, vocab_dir)
+    db = load_fingerprints(fingerprints, encoder)
+    wl = WhiteList.from_file(whitelist)
+    parsed = _read_trace(trace, encoder)
+    engine_cfg = EngineConfig(threshold_classify=threshold_classify,
+                              threshold_cosine=threshold_cosine, halt_on_alarm=halt_on_alarm)
+    classifier = mlp.load_model(model)
+    result = run_engine_detect(parsed, encoder, wl, db, classifier, engine_cfg)
     _emit_detection(ctx, result, out)
 
 
@@ -272,20 +202,20 @@ def detect(ctx, trace, config_path, embeddings, vocab_dir, fingerprints, whiteli
 @_config_opt
 @_embeddings_opt
 @_vocab_opt
-@_fingerprints_opt
+@_fingerprints_opt()
 @_whitelist_opt
-@click.option("--threshold-cosine", type=float, default=None,
-              help=f"Similarity needed to advance a chain (default {DEFAULT_COSINE_THRESHOLD}).")
-@click.option("--halt-on-alarm", is_flag=True, default=False,
-              help="Stop at the first alarm instead of scanning the whole trace.")
-@click.option("--out", default=None, help="Write alarm records here instead of stdout.")
+@_threshold_cosine_opt
+@_halt_opt
+@_alarm_out_opt
 @click.pass_context
-def detect_naive(ctx, trace, config_path, embeddings, vocab_dir, fingerprints,
-                 whitelist, threshold_cosine, halt_on_alarm, out):
+def detect_naive(ctx, trace, embeddings, vocab_dir, fingerprints, whitelist,
+                 threshold_cosine, halt_on_alarm, out):
     """Scan TRACE comparing every stored exploit on every call (no classifier)."""
-    _, encoder, db, wl, parsed, engine_cfg = _detect_common(
-        trace, config_path, embeddings, vocab_dir, fingerprints, whitelist,
-        threshold_cosine, halt_on_alarm)
+    encoder = FeatureEncoder.from_paths(embeddings, vocab_dir)
+    db = load_fingerprints(fingerprints, encoder)
+    wl = WhiteList.from_file(whitelist)
+    parsed = _read_trace(trace, encoder)
+    engine_cfg = EngineConfig(threshold_cosine=threshold_cosine, halt_on_alarm=halt_on_alarm)
     result = run_engine_naive(parsed, encoder, wl, db, engine_cfg)
     _emit_detection(ctx, result, out)
 
@@ -295,64 +225,44 @@ def detect_naive(ctx, trace, config_path, embeddings, vocab_dir, fingerprints,
 @_seed_opt
 @_embeddings_opt
 @_vocab_opt
-@_fingerprints_opt
-@click.option("--sdg", "sdg_path", envvar="CHAINWATCH_SDG", default=None,
+@_fingerprints_opt()
+@click.option("--sdg", envvar="CHAINWATCH_SDG", show_envvar=True, required=True,
               help="Dependence graph file to mine for vulnerable sequences.")
-@click.option("--out", "out_dir", default=None, help="Corpus output directory.")
-@click.option("--benign-pool", envvar="CHAINWATCH_BENIGN_POOL", default=None,
-              help="Benign calls for padding, trace grammar (default: bundled).")
-@click.option("--benign-ratio", type=float, default=None,
-              help="Benign-only traces per vulnerable trace (default 1.0).")
-@click.option("--filler-rate", type=float, default=None,
-              help="Mean benign calls interleaved around each template call (default 2.0).")
-@click.option("--per-sequence", type=int, default=None,
-              help="Padded traces emitted per matched sequence (default 1).")
-@click.option("--split", type=float, default=None, help="Train fraction (default 0.85).")
-def gen_dataset(config_path, seed, embeddings, vocab_dir, fingerprints, sdg_path, out_dir,
-                benign_pool, benign_ratio, filler_rate, per_sequence, split):
+@click.option("--out", required=True, help="Corpus output directory.")
+@click.option("--benign-pool", envvar="CHAINWATCH_BENIGN_POOL", show_envvar=True,
+              default=str(DEFAULT_BENIGN_POOL), show_default="bundled",
+              help="Benign calls for padding, trace grammar.")
+@click.option("--benign-ratio", type=float, default=1.0,
+              help="Benign-only traces per vulnerable trace.")
+@click.option("--filler-rate", type=float, default=2.0,
+              help="Mean benign calls interleaved around each template call.")
+@click.option("--per-sequence", type=int, default=1,
+              help="Padded traces emitted per matched sequence.")
+@click.option("--split", type=float, default=0.85, help="Train fraction.")
+def gen_dataset(seed, embeddings, vocab_dir, fingerprints, sdg, out, benign_pool,
+                benign_ratio, filler_rate, per_sequence, split):
     """Mine the graph for each fingerprint's flows and emit a labeled corpus."""
-    config = _load_config(config_path)
-    sdg_path = _pick(config, "sdg", sdg_path)
-    out_dir = _pick(config, "out", out_dir)
-    if not sdg_path:
-        raise CliError("a dependence graph file is required (--sdg)")
-    if not out_dir:
-        raise CliError("an output directory is required (--out)")
-    encoder = _encoder(config, embeddings, vocab_dir)
-    db = _load_db(config, fingerprints, encoder)
-    pool_path = _pick(config, "benign_pool", benign_pool, str(DEFAULT_BENIGN_POOL))
-    try:
-        graph = sdg_mod.load_sdg(sdg_path, encoder.vocabs)
-        with open(pool_path) as fh:
-            pool = tuple(read_trace(fh, encoder.vocabs, source_id=str(pool_path)).calls)
-        sequences = {}
-        for eid in db.exploit_ids:
-            query = sdg_mod.lower_fingerprint(db[eid])
-            matched = sdg_mod.match_query(graph, query)
-            if matched:
-                sequences[eid] = matched
-        if not sequences:
-            raise CliError("no fingerprint matched any flow in the graph")
-        padding = corpus_mod.PaddingConfig(
-            benign_pool=pool,
-            filler_rate=_pick(config, "filler_rate", filler_rate, 2.0),
-            per_sequence=_pick(config, "per_sequence", per_sequence, 1),
-        )
-        manifest = corpus_mod.generate_corpus(
-            db,
-            sequences,
-            out_dir,
-            seed=_pick(config, "seed", seed, 0),
-            split=_pick(config, "split", split, 0.85),
-            benign_ratio=_pick(config, "benign_ratio", benign_ratio, 1.0),
-            padding=padding,
-        )
-    except CliError:
-        raise
-    except (OSError, ValueError) as exc:
-        raise CliError(str(exc))
+    encoder = FeatureEncoder.from_paths(embeddings, vocab_dir)
+    db = load_fingerprints(fingerprints, encoder)
+    graph = sdg_mod.load_sdg(sdg, encoder.vocabs)
+    with open(benign_pool) as fh:
+        pool = tuple(read_trace(fh, encoder.vocabs, source_id=benign_pool).calls)
+    sequences = {}
+    for eid in db.exploit_ids:
+        query = sdg_mod.lower_fingerprint(db[eid])
+        matched = sdg_mod.match_query(graph, query)
+        if matched:
+            sequences[eid] = matched
+    if not sequences:
+        raise click.ClickException("no fingerprint matched any flow in the graph")
+    padding = corpus_mod.PaddingConfig(
+        benign_pool=pool, filler_rate=filler_rate, per_sequence=per_sequence
+    )
+    manifest = corpus_mod.generate_corpus(
+        db, sequences, out, seed=seed, split=split, benign_ratio=benign_ratio, padding=padding
+    )
     click.echo(json.dumps({
-        "out": str(out_dir),
+        "out": str(out),
         "matched_exploits": sorted(sequences),
         "counts": manifest["counts"],
         "seed": manifest["seed"],
@@ -364,67 +274,41 @@ def gen_dataset(config_path, seed, embeddings, vocab_dir, fingerprints, sdg_path
 @_config_opt
 @_embeddings_opt
 @_vocab_opt
-@_fingerprints_opt
-@_model_opt
-@click.option("--corpus", envvar="CHAINWATCH_CORPUS", default=None, help="Corpus directory.")
-@click.option("--split-name", default="test", show_default=True,
-              help="Which corpus split to score.")
-@click.option("--predictions", default=None,
-              help="Pre-computed per-call label lines; bypasses the model.")
-@click.option("--threshold", type=float, default=None,
-              help=f"Classification threshold (default {DEFAULT_CLASSIFY_THRESHOLD}).")
-def eval_cmd(config_path, embeddings, vocab_dir, fingerprints, model_path, corpus,
-             split_name, predictions, threshold):
+@_fingerprints_opt(required=False)
+@_model_opt(required=False)
+@_corpus_opt
+@_split_name_opt
+@click.option("--predictions", help="Pre-computed per-call label lines; bypasses the model.")
+@click.option("--threshold", type=float, default=DEFAULT_CLASSIFY_THRESHOLD,
+              help="Classification threshold.")
+def eval_cmd(embeddings, vocab_dir, fingerprints, model, corpus, split_name, predictions,
+             threshold):
     """Score per-call exploit predictions against a corpus split's labels.
 
     With --model, predictions come from the classifier; with --predictions,
     from a file with one comma-separated label line per call (trace files in
     sorted order).  Reports per-label, per-CWE pooled, and macro metrics.
     """
-    config = _load_config(config_path)
-    corpus_dir = _pick(config, "corpus", corpus)
-    if not corpus_dir:
-        raise CliError("a corpus directory is required (--corpus)")
-    encoder = _encoder(config, embeddings, vocab_dir)
-    try:
-        manifest = corpus_mod.read_manifest(corpus_dir)
-        n_labels = manifest["n_labels"]
-        items = corpus_mod.load_split(corpus_dir, split_name, encoder.vocabs)
-    except (OSError, ValueError) as exc:
-        raise CliError(str(exc))
-
-    tables = metrics.new_tables(n_labels)
-    thr = _pick(config, "threshold", threshold, DEFAULT_CLASSIFY_THRESHOLD)
+    encoder = FeatureEncoder.from_paths(embeddings, vocab_dir)
+    n_labels = corpus_mod.read_manifest(corpus)["n_labels"]
+    items = corpus_mod.load_split(corpus, split_name, encoder.vocabs)
+    label_sets = [labels for item in items for labels in item.label_sets]
+    truth = corpus_mod.label_rows(label_sets, n_labels)
     if predictions:
-        try:
-            pred_sets = corpus_mod._read_labels(Path(predictions))
-        except OSError as exc:
-            raise CliError(str(exc))
-        total_calls = sum(len(item.trace) for item in items)
-        if len(pred_sets) != total_calls:
-            raise CliError(
-                f"{predictions}: {len(pred_sets)} prediction lines for {total_calls} calls"
+        pred_sets = corpus_mod.read_labels(Path(predictions))
+        if len(pred_sets) != len(label_sets):
+            raise click.ClickException(
+                f"{predictions}: {len(pred_sets)} prediction lines for {len(label_sets)} calls"
             )
-        cursor = 0
-        for item in items:
-            for labels in item.label_sets:
-                row_pred = np.zeros(n_labels)
-                for i in pred_sets[cursor]:
-                    row_pred[i] = 1.0
-                row_true = np.zeros(n_labels)
-                for i in labels:
-                    row_true[i] = 1.0
-                metrics.accumulate(tables, row_pred, row_true)
-                cursor += 1
+        preds = corpus_mod.label_rows(pred_sets, n_labels)
+    elif model:
+        x, _ = corpus_mod.build_xy(items, encoder, n_labels)
+        preds = (mlp.forward(mlp.load_model(model), x) >= threshold).astype(np.float64)
     else:
-        model = _load_model(config, model_path)
-        for item in items:
-            x = encoder.encode_trace(item.trace.calls)
-            probs = mlp.forward(model, x)
-            preds = (probs >= thr).astype(np.float64)
-            truth = item.label_matrix(n_labels)
-            for row_pred, row_true in zip(preds, truth):
-                metrics.accumulate(tables, row_pred, row_true)
+        raise click.ClickException("a model file is required (--model)")
+    tables = metrics.new_tables(n_labels)
+    for row_pred, row_true in zip(preds, truth):
+        metrics.accumulate(tables, row_pred, row_true)
 
     macro = metrics.macro_average(tables)
     support = metrics.supported_labels(tables)
@@ -441,8 +325,8 @@ def eval_cmd(config_path, embeddings, vocab_dir, fingerprints, model_path, corpu
             f"{s['accuracy']:>7.4f} {s['precision']:>7.4f} {s['recall']:>7.4f} {s['f1']:>7.4f}"
         )
     per_cwe = {}
-    if _pick(config, "fingerprints", fingerprints):
-        db = _load_db(config, fingerprints, encoder)
+    if fingerprints:
+        db = load_fingerprints(fingerprints, encoder)
         lines.append("")
         lines.append("per-CWE (pooled):")
         for cwe, ids in db.cwe_index().items():
@@ -456,7 +340,7 @@ def eval_cmd(config_path, embeddings, vocab_dir, fingerprints, model_path, corpu
     click.echo("\n".join(lines))
     click.echo(json.dumps({
         "split": split_name,
-        "calls": sum(len(item.trace) for item in items),
+        "calls": len(label_sets),
         "macro": macro,
         "supported_labels": len(support),
         "macro_supported": macro_supported,
@@ -468,40 +352,26 @@ def eval_cmd(config_path, embeddings, vocab_dir, fingerprints, model_path, corpu
 @_config_opt
 @_embeddings_opt
 @_vocab_opt
-@_fingerprints_opt
+@_fingerprints_opt()
 @_whitelist_opt
-@_model_opt
-@click.option("--corpus", envvar="CHAINWATCH_CORPUS", default=None, help="Corpus directory.")
-@click.option("--split-name", default="test", show_default=True)
-@click.option("--repetitions", type=int, default=None, help="Measured passes (default 3).")
-@click.option("--max-traces", type=int, default=None, help="Cap the number of traces benchmarked.")
-@click.option("--json-out", default=None, help="Also write the full report as JSON.")
-def bench_cmd(config_path, embeddings, vocab_dir, fingerprints, whitelist, model_path,
-              corpus, split_name, repetitions, max_traces, json_out):
+@_model_opt()
+@_corpus_opt
+@_split_name_opt
+@click.option("--repetitions", type=int, default=3, help="Measured passes.")
+@click.option("--max-traces", type=int, help="Cap the number of traces benchmarked.")
+@click.option("--json-out", help="Also write the full report as JSON.")
+def bench_cmd(embeddings, vocab_dir, fingerprints, whitelist, model, corpus, split_name,
+              repetitions, max_traces, json_out):
     """Time detect and detect-naive over the scored calls of a corpus split."""
-    config = _load_config(config_path)
-    corpus_dir = _pick(config, "corpus", corpus)
-    if not corpus_dir:
-        raise CliError("a corpus directory is required (--corpus)")
-    encoder = _encoder(config, embeddings, vocab_dir)
-    db = _load_db(config, fingerprints, encoder)
-    wl = _load_whitelist(config, whitelist)
-    model = _load_model(config, model_path)
-    try:
-        items = corpus_mod.load_split(corpus_dir, split_name, encoder.vocabs)
-    except (OSError, ValueError) as exc:
-        raise CliError(str(exc))
+    encoder = FeatureEncoder.from_paths(embeddings, vocab_dir)
+    db = load_fingerprints(fingerprints, encoder)
+    wl = WhiteList.from_file(whitelist)
+    classifier = mlp.load_model(model)
+    items = corpus_mod.load_split(corpus, split_name, encoder.vocabs)
     traces = [item.trace for item in items]
-    cap = _pick(config, "max_traces", max_traces)
-    if cap:
-        traces = traces[: int(cap)]
-    try:
-        report = bench_mod.run_bench(
-            traces, encoder, wl, db, model,
-            repetitions=_pick(config, "repetitions", repetitions, 3),
-        )
-    except ValueError as exc:
-        raise CliError(str(exc))
+    if max_traces:
+        traces = traces[:max_traces]
+    report = bench_mod.run_bench(traces, encoder, wl, db, classifier, repetitions=repetitions)
     e, n = report.engine, report.naive
     click.echo(
         f"traces: {len(traces)}   scored calls: {e.non_whitelisted_calls}   "
@@ -541,15 +411,19 @@ def _times(ratio: float | None, digits: int) -> str:
 
 
 def main(argv=None) -> int:
-    """Console entry point with the documented exit-code contract."""
+    """Console entry point with the documented exit-code contract.
+
+    Every error, whether click's own or an ``OSError``/``ValueError`` raised
+    by a loader or the library, prints one ``Error:`` line and exits 1.
+    """
     try:
         rv = cli.main(args=argv, standalone_mode=False)
         return 0 if rv is None else int(rv)
     except click.exceptions.Exit as exc:
         return exc.exit_code
-    except click.UsageError as exc:
-        exc.show()
-        return 1
     except click.ClickException as exc:
         exc.show()
-        return exc.exit_code
+        return 1
+    except (OSError, ValueError) as exc:
+        click.echo(f"Error: {exc}", err=True)
+        return 1

@@ -195,13 +195,6 @@ class CorpusItem:
     label_sets: list[frozenset[int]]
     true_exploits: frozenset[int]
 
-    def label_matrix(self, n_labels: int) -> np.ndarray:
-        out = np.zeros((len(self.label_sets), n_labels), dtype=np.float64)
-        for row, labels in enumerate(self.label_sets):
-            for i in labels:
-                out[row, i] = 1.0
-        return out
-
 
 def read_manifest(corpus_dir: str | Path) -> dict:
     path = Path(corpus_dir) / MANIFEST_NAME
@@ -213,7 +206,8 @@ def read_manifest(corpus_dir: str | Path) -> dict:
     return manifest
 
 
-def _read_labels(path: Path) -> list[frozenset[int]]:
+def read_labels(path: Path) -> list[frozenset[int]]:
+    """One label set per line of a ``.labels`` file (blank line: no labels)."""
     sets = []
     for raw in path.read_text().splitlines():
         line = raw.strip()
@@ -236,7 +230,7 @@ def load_split(
         stem = trace_path.stem
         with open(trace_path) as fh:
             trace = read_trace(fh, vocabs, source_id=f"{split_name}/{stem}")
-        label_sets = _read_labels(trace_path.with_suffix(".labels"))
+        label_sets = read_labels(trace_path.with_suffix(".labels"))
         if len(label_sets) != len(trace):
             raise CorpusError(f"{trace_path}: {len(trace)} calls but {len(label_sets)} label lines")
         key = f"{split_name}/{stem}"
@@ -254,16 +248,22 @@ def build_xy(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stack every call of every trace into training arrays (X, T)."""
     cache: dict[InstructionCall, np.ndarray] = {}
-    xs, ts = [], []
+    xs = []
     for item in items:
-        for call, labels in zip(item.trace.calls, item.label_sets):
+        for call in item.trace.calls:
             vec = cache.get(call)
             if vec is None:
                 vec = encoder.encode(call)
                 cache[call] = vec
             xs.append(vec)
-            row = np.zeros(n_labels, dtype=np.float64)
-            for i in labels:
-                row[i] = 1.0
-            ts.append(row)
-    return np.stack(xs), np.stack(ts)
+    label_sets = [labels for item in items for labels in item.label_sets]
+    return np.stack(xs), label_rows(label_sets, n_labels)
+
+
+def label_rows(label_sets: list[frozenset[int]], n_labels: int) -> np.ndarray:
+    """One 0/1 row of ``n_labels`` columns per label set."""
+    out = np.zeros((len(label_sets), n_labels), dtype=np.float64)
+    for row, labels in enumerate(label_sets):
+        for i in labels:
+            out[row, i] = 1.0
+    return out

@@ -183,21 +183,3 @@ class FeatureEncoder:
         x[INPUT_SLICE] = freq_vector(call.inputs, self.vocabs.io_type_index, N_IO_TYPES)
         x[OUTPUT_SLICE] = freq_vector(call.outputs, self.vocabs.io_type_index, N_IO_TYPES)
         return x
-
-    def encode_trace(self, calls) -> np.ndarray:
-        """Encode a sequence of calls into an (n, 151) matrix, with caching.
-
-        Intended for corpus preparation where the same call text recurs many
-        times; the streaming engine encodes call-by-call instead.
-        """
-        cache: dict[InstructionCall, np.ndarray] = {}
-        rows = []
-        for call in calls:
-            vec = cache.get(call)
-            if vec is None:
-                vec = self.encode(call)
-                cache[call] = vec
-            rows.append(vec)
-        if not rows:
-            return np.zeros((0, VECTOR_DIM), dtype=np.float64)
-        return np.stack(rows)

@@ -7,6 +7,7 @@ the CLI itself.
 """
 
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import sys
 import numpy as np
 import pytest
 
-from chainwatch.cli import main
+from chainwatch.cli import cli, main
 from chainwatch.corpus import read_manifest
 from chainwatch.mlp import load_model, save_model
 from chainwatch.trace import serialize_trace_record
@@ -207,6 +208,77 @@ class TestDetect:
         assert rc == 2
 
 
+class TestValueSources:
+    """Each value resolves as flag, then env var, then config key, then default."""
+
+    def _config(self, tmp_path, **entries):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(entries))
+        return str(path)
+
+    def test_flag_beats_env(self, world_files, monkeypatch, capsys):
+        monkeypatch.setenv("CHAINWATCH_FINGERPRINTS", "/does/not/exist")
+        rc = main([
+            "detect-naive", str(world_files["planted"]),
+            "--fingerprints", str(world_files["fingerprints"]),
+        ])
+        assert rc == 2
+
+    def test_env_beats_config(self, world_files, tmp_path, monkeypatch, capsys):
+        config = self._config(tmp_path, fingerprints="/does/not/exist")
+        monkeypatch.setenv("CHAINWATCH_FINGERPRINTS", str(world_files["fingerprints"]))
+        rc = main(["detect-naive", str(world_files["planted"]), "--config", config])
+        assert rc == 2
+
+    def test_config_beats_default(self, world_files, tmp_path, capsys):
+        """--out defaults to stdout; its config key sends the alarms to a file."""
+        out = tmp_path / "alarms.jsonl"
+        config = self._config(
+            tmp_path, fingerprints=str(world_files["fingerprints"]), out=str(out)
+        )
+        rc = main(["detect-naive", str(world_files["planted"]), "--config", config])
+        assert rc == 2
+        assert capsys.readouterr().out == ""
+        assert json.loads(out.read_text().strip())["exploit_id"] == 0
+
+    def test_unknown_key_exit_1(self, world_files, tmp_path, capsys):
+        config = self._config(
+            tmp_path, fingerprints=str(world_files["fingerprints"]), threshold_cosin=0.1
+        )
+        rc = main(["detect-naive", str(world_files["planted"]), "--config", config])
+        assert rc == 1
+        assert "unknown key(s): threshold_cosin" in capsys.readouterr().err
+
+    def test_value_typed_as_flag(self, world_files, tmp_path, capsys):
+        config = self._config(
+            tmp_path, fingerprints=str(world_files["fingerprints"]), threshold_cosine="x"
+        )
+        rc = main(["detect-naive", str(world_files["planted"]), "--config", config])
+        assert rc == 1
+        assert "--threshold-cosine" in capsys.readouterr().err
+
+    def test_key_of_another_subcommand_ignored(self, world_files, tmp_path, capsys):
+        config = self._config(
+            tmp_path, fingerprints=str(world_files["fingerprints"]), epochs=5
+        )
+        rc = main(["detect-naive", str(world_files["planted"]), "--config", config])
+        assert rc == 2
+
+
+def test_help_shows_env_vars(capsys):
+    assert main(["detect", "--help"]) == 0
+    assert "CHAINWATCH_FINGERPRINTS" in capsys.readouterr().out
+
+
+def test_readme_lists_every_env_var():
+    """README's CLI section names exactly the env vars the subcommands declare."""
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"CHAINWATCH_[A-Z_]+", section))
+    declared = {p.envvar for cmd in cli.commands.values() for p in cmd.params if p.envvar}
+    assert documented == declared
+
+
 class TestGenDataset:
     def test_counts_and_split(self, cli_corpus):
         manifest = read_manifest(cli_corpus)
@@ -244,7 +316,7 @@ class TestGenDataset:
             "--out", "/tmp/nowhere",
         ])
         assert rc == 1
-        assert "graph" in capsys.readouterr().err.lower()
+        assert "--sdg" in capsys.readouterr().err
 
 
 class TestTrain:

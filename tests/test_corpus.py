@@ -11,6 +11,7 @@ from chainwatch.corpus import (
     emit_benign,
     emit_corpus,
     generate_corpus,
+    label_rows,
     load_split,
     read_manifest,
     trigger_index,
@@ -173,9 +174,9 @@ def test_load_split_round_trip(small_corpus, vocabs, encoder):
         for item in items:
             assert len(item.label_sets) == len(item.trace)
             assert item.true_exploits == frozenset(manifest["true_exploits"][item.name])
-    # label matrix mirrors the label sets
+    # label rows mirror the label sets
     item = load_split(out, "test", vocabs)[0]
-    mat = item.label_matrix(79)
+    mat = label_rows(item.label_sets, 79)
     assert mat.shape == (len(item.trace), 79)
     for row, labels in zip(mat, item.label_sets):
         assert set(np.nonzero(row)[0]) == set(labels)

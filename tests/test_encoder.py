@@ -177,21 +177,6 @@ def test_encode_deterministic(encoder, vocabs):
     np.testing.assert_array_equal(encoder.encode(call), encoder.encode(call))
 
 
-def test_encode_trace_matches_per_call(encoder, vocabs):
-    calls = [
-        InstructionCall("readLine", "invokevirtual", "Application",
-                        "Ljava/io/BufferedReader", outputs=("String",)),
-        InstructionCall("append", "invokevirtual", "Application",
-                        "Ljava/lang/StringBuilder", inputs=("String",),
-                        outputs=("StringBuilder",)),
-    ] * 3
-    mat = encoder.encode_trace(calls)
-    assert mat.shape == (6, 151)
-    for i, call in enumerate(calls):
-        np.testing.assert_array_equal(mat[i], encoder.encode(call))
-    assert encoder.encode_trace([]).shape == (0, 151)
-
-
 def test_synonym_fixture_similarities(encoder):
     """The shipped demo embeddings keep synonyms close and unrelated words apart."""
     meta = json.loads((DATA_DIR / "embeddings" / "synonym_fixtures.json").read_text())
