@@ -1,0 +1,87 @@
+#!/usr/bin/env python3
+"""Print one sha256 per detection mode over everything detection reports.
+
+    python3 scripts/output_digest.py --corpus CORPUS --model MODEL --fingerprints FP
+
+Runs ``engine.detect`` and ``engine.detect_naive`` over every trace of one
+corpus split (sorted by file name, a fresh state table per trace, the bundled
+embeddings, vocabularies and white-list unless given) and hashes every field
+of every ``AlarmRecord``, ``MonitorEvent`` and ``SessionSummary`` in order.
+Floats are hashed as ``float.hex``, so two trees print the same digest only
+when their outputs are bit-identical.  One line per mode:
+``<mode> alarms=<n> events=<n> sha256=<hex>``.
+
+It imports ``chainwatch`` from the ``src`` next to it, so a copy placed in
+another checkout digests that checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import enum
+import hashlib
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from chainwatch import corpus, engine, mlp
+from chainwatch.encoder import FeatureEncoder
+from chainwatch.fingerprints import WhiteList, load_fingerprints
+
+DEFAULT_WHITELIST = ROOT / "src" / "chainwatch" / "data" / "fixtures" / "whitelist.txt"
+
+
+def _field(value) -> str:
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, enum.Enum):
+        return value.name
+    return repr(value)
+
+
+def _record(obj) -> bytes:
+    fields = ((f.name, _field(getattr(obj, f.name))) for f in dataclasses.fields(obj))
+    return (type(obj).__name__ + "(" + ",".join(f"{k}={v}" for k, v in fields) + ")\n").encode()
+
+
+def digest(results) -> tuple[int, int, str]:
+    h = hashlib.sha256()
+    alarms = events = 0
+    for result in results:
+        for record in (*result.alarms, *result.events, result.summary):
+            h.update(_record(record))
+        alarms += len(result.alarms)
+        events += len(result.events)
+    return alarms, events, h.hexdigest()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--corpus", required=True, help="Corpus directory.")
+    parser.add_argument("--split", default="test", help="Split to scan.")
+    parser.add_argument("--model", required=True, help="Trained classifier file.")
+    parser.add_argument("--fingerprints", required=True, help="Fingerprint database file.")
+    parser.add_argument("--whitelist", default=str(DEFAULT_WHITELIST), help="White-list file.")
+    parser.add_argument("--embeddings", help="Embedding table file (default: bundled).")
+    args = parser.parse_args()
+
+    encoder = FeatureEncoder.from_paths(args.embeddings)
+    db = load_fingerprints(args.fingerprints, encoder)
+    whitelist = WhiteList.from_file(args.whitelist)
+    model = mlp.load_model(args.model)
+    traces = [item.trace for item in corpus.load_split(args.corpus, args.split, encoder.vocabs)]
+    modes = {
+        "detect": lambda t: engine.detect(t, encoder, whitelist, db, model),
+        "detect_naive": lambda t: engine.detect_naive(t, encoder, whitelist, db),
+    }
+    for mode, run in modes.items():
+        alarms, events, hexdigest = digest(run(t) for t in traces)
+        print(f"{mode} alarms={alarms} events={events} sha256={hexdigest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

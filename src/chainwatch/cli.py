@@ -18,6 +18,7 @@ Exit codes: 0 = clean run, 2 = detection run that raised at least one alarm,
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import click
@@ -27,7 +28,7 @@ from . import __version__
 from . import bench as bench_mod
 from . import corpus as corpus_mod
 from . import metrics, mlp, sdg as sdg_mod
-from .encoder import FeatureEncoder
+from .encoder import FeatureEncoder, default_embedding_path
 from .engine import (
     DEFAULT_CLASSIFY_THRESHOLD,
     EngineConfig,
@@ -37,6 +38,7 @@ from .engine import (
 from .fingerprints import WhiteList, load_fingerprints
 from .monitor import DEFAULT_COSINE_THRESHOLD
 from .trace import read_trace
+from .vocab import vocabulary_files
 
 _DATA = Path(__file__).parent / "data"
 DEFAULT_WHITELIST = _DATA / "fixtures" / "whitelist.txt"
@@ -58,6 +60,23 @@ def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -
     if unknown:
         raise click.BadParameter(f"{path}: unknown key(s): {', '.join(unknown)}", ctx, param)
     ctx.default_map = config
+
+
+def _refuse_to_overwrite(out: str, embeddings: str | None, vocab_dir: str | None,
+                         inputs: dict[str, str | None]) -> None:
+    """Stop before anything is written when ``--out`` is a file the command
+    reads: the embedding table and vocabulary files, given or bundled, or one
+    of ``inputs`` (each keyed by the argument or flag that gave it)."""
+    if out == "-" or not os.path.exists(out):
+        return
+    read = [("--embeddings", embeddings if embeddings is not None else default_embedding_path())]
+    read += [("--vocab-dir", path) for path in vocabulary_files(vocab_dir)]
+    read += inputs.items()
+    for flag, path in read:
+        if path not in (None, "-") and os.path.exists(path) and os.path.samefile(out, path):
+            raise click.ClickException(
+                f"--out {out} is the {flag} input; refusing to overwrite it"
+            )
 
 
 def _read_trace(path: str, encoder: FeatureEncoder):
@@ -117,6 +136,7 @@ def encode(trace, embeddings, vocab_dir, out):
 
     One line per record: 151 decimal floats, space separated.
     """
+    _refuse_to_overwrite(out, embeddings, vocab_dir, {"TRACE": trace})
     encoder = FeatureEncoder.from_paths(embeddings, vocab_dir)
     parsed = _read_trace(trace, encoder)
     with click.open_file(out, "w") as sink:
@@ -186,6 +206,10 @@ def _emit_detection(ctx, result, out):
 def detect(ctx, trace, embeddings, vocab_dir, fingerprints, whitelist, model,
            threshold_classify, threshold_cosine, halt_on_alarm, out):
     """Scan TRACE with the classifier-filtered engine; alarms as JSON lines."""
+    _refuse_to_overwrite(out, embeddings, vocab_dir, {
+        "TRACE": trace, "--model": model, "--fingerprints": fingerprints,
+        "--whitelist": whitelist,
+    })
     encoder = FeatureEncoder.from_paths(embeddings, vocab_dir)
     db = load_fingerprints(fingerprints, encoder)
     wl = WhiteList.from_file(whitelist)
@@ -211,6 +235,9 @@ def detect(ctx, trace, embeddings, vocab_dir, fingerprints, whitelist, model,
 def detect_naive(ctx, trace, embeddings, vocab_dir, fingerprints, whitelist,
                  threshold_cosine, halt_on_alarm, out):
     """Scan TRACE comparing every stored exploit on every call (no classifier)."""
+    _refuse_to_overwrite(out, embeddings, vocab_dir, {
+        "TRACE": trace, "--fingerprints": fingerprints, "--whitelist": whitelist,
+    })
     encoder = FeatureEncoder.from_paths(embeddings, vocab_dir)
     db = load_fingerprints(fingerprints, encoder)
     wl = WhiteList.from_file(whitelist)

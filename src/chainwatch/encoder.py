@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import importlib.resources
 import re
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -131,30 +130,6 @@ class EmbeddingTable:
         return vec
 
 
-def embed_name(tokens: list[str], table: EmbeddingTable) -> np.ndarray:
-    """Concatenate token embeddings into the fixed 70-component name block."""
-    out = np.zeros(NAME_DIM, dtype=np.float64)
-    for i, token in enumerate(tokens[:MAX_TOKENS]):
-        out[i * EMBED_DIM : (i + 1) * EMBED_DIM] = table.lookup(token)
-    return out
-
-
-def one_hot(index: int, size: int) -> np.ndarray:
-    if not 0 <= index < size:
-        raise ValueError(f"one-hot index {index} out of range [0, {size})")
-    out = np.zeros(size, dtype=np.float64)
-    out[index] = 1.0
-    return out
-
-
-def freq_vector(items: tuple[str, ...], index: dict[str, int], size: int) -> np.ndarray:
-    """Multiset of identifiers -> multiplicity counts at their vocab indices."""
-    out = np.zeros(size, dtype=np.float64)
-    for item, count in Counter(items).items():
-        out[index[item]] = float(count)
-    return out
-
-
 @dataclass
 class FeatureEncoder:
     """Encodes instruction calls against one embedding table + vocab set."""
@@ -174,12 +149,20 @@ class FeatureEncoder:
         return cls(table=EmbeddingTable.from_file(path), vocabs=load_vocabularies(vocab_dir))
 
     def encode(self, call: InstructionCall) -> np.ndarray:
-        """Encode one call into the 151-component feature vector."""
+        """Encode one call into the 151-component feature vector.
+
+        Every block is written straight into one zeroed vector; the I/O counts
+        add 1.0 per item, which is exact for integer counts.
+        """
         x = np.zeros(VECTOR_DIM, dtype=np.float64)
-        x[NAME_SLICE] = embed_name(tokenize_api_name(call.api_name), self.table)
-        x[NAME_DIM + CATEGORY_INDEX[call.category]] = 1.0
+        for i, token in enumerate(tokenize_api_name(call.api_name)):
+            x[i * EMBED_DIM : (i + 1) * EMBED_DIM] = self.table.lookup(token)
+        x[CATEGORY_SLICE.start + CATEGORY_INDEX[call.category]] = 1.0
         x[SCOPE_SLICE.start + SCOPE_INDEX[call.scope]] = 1.0
         x[PACKAGE_SLICE.start + self.vocabs.package_index[call.package]] = 1.0
-        x[INPUT_SLICE] = freq_vector(call.inputs, self.vocabs.io_type_index, N_IO_TYPES)
-        x[OUTPUT_SLICE] = freq_vector(call.outputs, self.vocabs.io_type_index, N_IO_TYPES)
+        io_index = self.vocabs.io_type_index
+        for item in call.inputs:
+            x[INPUT_SLICE.start + io_index[item]] += 1.0
+        for item in call.outputs:
+            x[OUTPUT_SLICE.start + io_index[item]] += 1.0
         return x

@@ -85,9 +85,10 @@ class DetectionResult:
 def classifier_candidates(model: mlp.MlpModel, db: FingerprintDb, threshold: float) -> CandidateFn:
     """Candidate nomination: predicted labels intersected with stored exploits."""
     known = frozenset(db.exploit_ids)
+    predicted = mlp.nominator(model, threshold)
 
     def nominate(x: np.ndarray) -> frozenset[int]:
-        return mlp.predict(model, x, threshold=threshold).predicted & known
+        return predicted(x) & known
 
     return nominate
 

@@ -103,37 +103,92 @@ def _sigmoid_stable(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """relu(W1 x + b1) -> relu(W2 . + b2) -> logistic(W3 . + b3).
+def logits(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    """relu(W1 x + b1) -> relu(W2 . + b2) -> W3 . + b3: the output logits.
 
-    ``x`` is one encoded call of shape (151,), giving (79,) probabilities, or
-    a batch of shape (n, 151), giving (n, 79).
+    ``x`` is one encoded call of shape (151,), giving (79,) logits, or a batch
+    of shape (n, 151), giving (n, 79).  Each layer adds its bias and clips at
+    zero in place on the product's fresh array; ``+=`` and ``np.maximum(...,
+    out=)`` compute element by element what ``+`` and ``np.maximum`` do, so
+    the result is bit-equal to the out-of-place expression.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] != LAYER_SIZES[0]:
         raise ValueError(
             f"expected input shape ({LAYER_SIZES[0]},) or (n, {LAYER_SIZES[0]}), got {x.shape}"
         )
-    h1 = np.maximum(x @ model.w1.T + model.b1, 0.0)
-    h2 = np.maximum(h1 @ model.w2.T + model.b2, 0.0)
-    return _sigmoid_stable(h2 @ model.w3.T + model.b3)
+    h1 = x @ model.w1.T
+    h1 += model.b1
+    np.maximum(h1, 0.0, out=h1)
+    h2 = h1 @ model.w2.T
+    h2 += model.b2
+    np.maximum(h2, 0.0, out=h2)
+    z = h2 @ model.w3.T
+    z += model.b3
+    return z
 
 
-@dataclass(frozen=True)
-class ExploitPrediction:
-    probabilities: np.ndarray
-    predicted: frozenset[int]
+def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    """Logistic of :func:`logits`: one probability per label, same shapes."""
+    return _sigmoid_stable(logits(model, x))
 
 
-def predict(model: MlpModel, x: np.ndarray, threshold: float = 0.5) -> ExploitPrediction:
-    """Labels whose probability clears the (inclusive) threshold."""
+# Thresholds for which logit_cut's margin is proven; see its docstring.
+_CUT_THRESHOLDS = (1e-12, 1.0 - 1e-12)
+_NO_LABELS: frozenset[int] = frozenset()
+
+
+def logit_cut(threshold: float) -> float:
+    """A logit below which no computed probability reaches ``threshold``.
+
+    The cut is ``logit(t) - 1`` with ``logit(t) = log(t / (1 - t))``.  For a
+    logit ``z <= logit(t) - 1`` the exact logistic is below ``t`` by
+
+        t - sigma(logit(t) - 1) = t (1 - t) (e - 1) / (e - (e - 1) t)
+                                >= (1 - 1/e) t (1 - t) > 0.63 t (1 - t),
+
+    so the computed probability would have to be off by a relative 0.63 (1 - t)
+    to reach ``t``.  ``_sigmoid_stable`` is off by a few ulps (about 1e-15
+    relative), and the cut itself is computed to within about 1e-14, which
+    moves the exact logistic at the cut by a relative 1e-14 at most.  Both are
+    far below 0.63 (1 - t) while ``t`` lies in ``[1e-12, 1 - 1e-12]``.  The
+    computed logistic never decreases as its argument grows, so being below
+    ``t`` at the cut covers every smaller logit; and in that range the cut
+    lies above -29, where ``exp`` is a normal number.  Outside the range the
+    margin is not proven (near 1 it shrinks to an ulp; near 0 ``exp`` goes
+    subnormal and loses its relative accuracy), so the cut is ``-inf`` and
+    every call takes the full path.
+    """
+    low, high = _CUT_THRESHOLDS
+    if not low <= threshold <= high:
+        return -math.inf
+    return math.log(threshold / (1.0 - threshold)) - 1.0
+
+
+def nominator(model: MlpModel, threshold: float):
+    """``x -> labels whose probability from :func:`forward` is at least threshold``.
+
+    Nomination works on the logits: when the largest is below
+    :func:`logit_cut`, no label can reach the threshold, so the call returns
+    the empty set without computing a single logistic.  Otherwise it applies
+    the logistic and the (inclusive) threshold to every label.  The two paths
+    give the same set on every input.
+    """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"classification threshold must lie in (0, 1), got {threshold}")
-    probs = forward(model, x)
-    if probs.ndim != 1:
-        raise ValueError(f"predict takes one call of shape ({LAYER_SIZES[0]},), got {np.shape(x)}")
-    predicted = frozenset(int(i) for i in np.nonzero(probs >= threshold)[0])
-    return ExploitPrediction(probabilities=probs, predicted=predicted)
+    cut = logit_cut(threshold)
+
+    def nominate(x: np.ndarray) -> frozenset[int]:
+        z = logits(model, x)
+        if z.ndim != 1:
+            raise ValueError(
+                f"nominate takes one call of shape ({LAYER_SIZES[0]},), got {np.shape(x)}"
+            )
+        if z.max() < cut:
+            return _NO_LABELS
+        return frozenset(np.flatnonzero(_sigmoid_stable(z) >= threshold).tolist())
+
+    return nominate
 
 
 def bce_loss(y: np.ndarray, t: np.ndarray) -> float:

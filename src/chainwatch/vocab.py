@@ -58,6 +58,12 @@ def default_vocab_dir() -> Path:
     return Path(importlib.resources.files("chainwatch")) / "data" / "vocab"
 
 
+def vocabulary_files(vocab_dir: str | Path | None = None) -> tuple[Path, Path, Path]:
+    """The packages, io-types and categories files in ``vocab_dir`` (default: bundled)."""
+    base = Path(vocab_dir) if vocab_dir is not None else default_vocab_dir()
+    return base / "packages.txt", base / "io_types.txt", base / "categories.txt"
+
+
 @dataclass(frozen=True)
 class Vocabularies:
     """Index maps for every text-valued instruction-call field."""
@@ -91,9 +97,7 @@ def load_vocabularies(vocab_dir: str | Path | None = None) -> Vocabularies:
     list; a mismatch is an error because category indices are frozen into the
     feature layout.
     """
-    base = Path(vocab_dir) if vocab_dir is not None else default_vocab_dir()
-    packages_file = base / "packages.txt"
-    io_file = base / "io_types.txt"
+    packages_file, io_file, categories_file = vocabulary_files(vocab_dir)
     if not packages_file.is_file():
         raise VocabularyError(f"missing vocabulary file: {packages_file}")
     if not io_file.is_file():
@@ -101,7 +105,6 @@ def load_vocabularies(vocab_dir: str | Path | None = None) -> Vocabularies:
     packages = _read_identifier_file(packages_file)
     io_types = _read_identifier_file(io_file)
 
-    categories_file = base / "categories.txt"
     if categories_file.is_file():
         listed = tuple(_read_identifier_file(categories_file))
         if listed != CATEGORIES:

@@ -2,18 +2,23 @@
 
 Everything here is written from the behavioral contracts alone and avoids the
 production code paths: the chain matcher works on raw call equality instead of
-encoded vectors, the graph oracle enumerates simple paths with networkx, and
-the scalar helpers use plain Python arithmetic.
+encoded vectors, the graph oracle enumerates simple paths with networkx, the
+reference encoder concatenates the documented blocks one by one, and the
+scalar helpers use plain Python arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import networkx as nx
+import numpy as np
 
 from chainwatch.sdg import FLOW_LABELS, Sdg, VulnQuery, template_matches
+from chainwatch.encoder import tokenize_api_name
 from chainwatch.trace import InstructionCall
+from chainwatch.vocab import CATEGORIES, SCOPES
 
 
 class NaiveChainMatcher:
@@ -120,3 +125,37 @@ def straight_line_forward(x, w1, b1, w2, b2, w3, b3):
             s += w3[i][j] * h2[j]
         y.append(1.0 / (1.0 + math.exp(-s)))
     return y
+
+
+def reference_encode(call: InstructionCall, table, vocabs) -> np.ndarray:
+    """The 151-component vector as the layout documents it, block by block.
+
+    Name: the embeddings of the first seven name tokens, concatenated and
+    zero-padded to 70.  Then one-hot category (9), scope (2) and package (22),
+    then the multiplicity of each I/O type among the inputs (24) and among the
+    outputs (24).  ``table`` maps a token to its 10-vector.
+    """
+    tokens = tokenize_api_name(call.api_name)[:7]
+    name = np.zeros(70)
+    for i, token in enumerate(tokens):
+        name[10 * i : 10 * (i + 1)] = table.lookup(token)
+
+    def one_hot(index, size):
+        out = np.zeros(size)
+        out[index] = 1.0
+        return out
+
+    def counts(items):
+        out = np.zeros(len(vocabs.io_types))
+        for item, n in Counter(items).items():
+            out[vocabs.io_types.index(item)] = float(n)
+        return out
+
+    return np.concatenate([
+        name,
+        one_hot(CATEGORIES.index(call.category), len(CATEGORIES)),
+        one_hot(SCOPES.index(call.scope), len(SCOPES)),
+        one_hot(vocabs.packages.index(call.package), len(vocabs.packages)),
+        counts(call.inputs),
+        counts(call.outputs),
+    ])

@@ -14,11 +14,14 @@ import sys
 
 import numpy as np
 import pytest
+from click import ClickException
 
-from chainwatch.cli import cli, main
+from chainwatch.cli import _refuse_to_overwrite, cli, main
 from chainwatch.corpus import read_manifest
-from chainwatch.mlp import load_model, save_model
+from chainwatch.encoder import default_embedding_path
+from chainwatch.mlp import init_model, load_model, save_model
 from chainwatch.trace import serialize_trace_record
+from chainwatch.vocab import default_vocab_dir
 
 from .conftest import FIXTURES, ROOT, child_env
 
@@ -263,6 +266,68 @@ class TestValueSources:
         )
         rc = main(["detect-naive", str(world_files["planted"]), "--config", config])
         assert rc == 2
+
+
+class TestOutNeverAnInput:
+    """--out that names an input file exits 1 before anything is written."""
+
+    def test_shared_config_keeps_the_model(self, world_files, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        save_model(init_model(0), "shared.cwm")
+        before = (tmp_path / "shared.cwm").read_bytes()
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "fingerprints": str(world_files["fingerprints"]),
+            "model": "shared.cwm",
+            "out": "shared.cwm",
+        }))
+        rc = main(["detect", str(world_files["planted"]), "--config", str(config)])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("Error:") and "--model" in err[0]
+        assert (tmp_path / "shared.cwm").read_bytes() == before
+
+    def test_naive_out_is_the_trace(self, world_files, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        shutil.copy(world_files["planted"], trace)
+        before = trace.read_bytes()
+        rc = main([
+            "detect-naive", str(trace),
+            "--fingerprints", str(world_files["fingerprints"]),
+            "--out", str(tmp_path / "." / "trace.jsonl"),
+        ])
+        assert rc == 1
+        assert "TRACE" in capsys.readouterr().err
+        assert trace.read_bytes() == before
+
+    def test_encode_out_is_the_embeddings(self, world_files, tmp_path, capsys):
+        table = tmp_path / "emb.txt"
+        table.write_text("tok " + " ".join(["0.1"] * 10) + "\n")
+        rc = main([
+            "encode", str(world_files["planted"]),
+            "--embeddings", str(table), "--out", str(table),
+        ])
+        assert rc == 1
+        assert "--embeddings" in capsys.readouterr().err
+        assert table.read_text().startswith("tok ")
+
+    def test_detect_out_is_a_vocabulary_file(self, world_files, tmp_path, capsys):
+        vocab = tmp_path / "vocab"
+        shutil.copytree(default_vocab_dir(), vocab)
+        before = (vocab / "io_types.txt").read_bytes()
+        rc = main([
+            "detect-naive", str(world_files["planted"]),
+            "--fingerprints", str(world_files["fingerprints"]),
+            "--vocab-dir", str(vocab), "--out", str(vocab / "io_types.txt"),
+        ])
+        assert rc == 1
+        assert "--vocab-dir" in capsys.readouterr().err
+        assert (vocab / "io_types.txt").read_bytes() == before
+
+    def test_bundled_embeddings_count_as_an_input(self):
+        # called directly: the check writes nothing, so the bundled file is safe
+        with pytest.raises(ClickException, match="--embeddings"):
+            _refuse_to_overwrite(str(default_embedding_path()), None, None, {})
 
 
 def test_help_shows_env_vars(capsys):

@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from chainwatch.encoder import (
@@ -26,14 +26,15 @@ from chainwatch.encoder import (
     EmbeddingTable,
     FeatureEncoder,
     default_embedding_path,
-    freq_vector,
     hash_embed,
-    one_hot,
     tokenize_api_name,
 )
-from chainwatch.trace import InstructionCall
+from chainwatch.fingerprints import load_fingerprints
+from chainwatch.trace import InstructionCall, read_trace
+from chainwatch.vocab import CATEGORIES, SCOPES
 
-from .conftest import DATA_DIR
+from .conftest import DATA_DIR, FIXTURES
+from .oracles import reference_encode
 
 
 def test_layout_constants():
@@ -96,20 +97,14 @@ def test_hash_embed_deterministic_and_distinct():
         hash_embed("alpha")[0] = 9.0  # read-only
 
 
-def test_one_hot():
-    v = one_hot(3, 9)
-    assert v.shape == (9,)
-    assert v[3] == 1.0 and v.sum() == 1.0
-    with pytest.raises(ValueError):
-        one_hot(9, 9)
-    with pytest.raises(ValueError):
-        one_hot(-1, 9)
-
-
-def test_freq_vector_counts_multiplicity():
-    index = {"a": 0, "b": 1, "c": 2}
-    v = freq_vector(("a", "b", "a", "a"), index, 3)
-    np.testing.assert_array_equal(v, [3.0, 1.0, 0.0])
+def test_io_counts_multiplicity(encoder, vocabs):
+    """Repeated I/O types add up: three of one type and one of another."""
+    a, b = vocabs.io_types[:2]
+    call = InstructionCall("f", "phi", "Application", vocabs.packages[0],
+                           inputs=(a, b, a, a), outputs=(b, b))
+    x = encoder.encode(call)
+    np.testing.assert_array_equal(x[INPUT_SLICE][:3], [3.0, 1.0, 0.0])
+    np.testing.assert_array_equal(x[OUTPUT_SLICE][:3], [0.0, 2.0, 0.0])
 
 
 def test_freq_vector_log_example(vocabs):
@@ -168,6 +163,58 @@ def test_eighth_token_dropped(encoder, vocabs):
     assert len(tokenize_api_name(b.api_name)) == 7
     np.testing.assert_array_equal(encoder.encode(a)[NAME_SLICE][:70],
                                   encoder.encode(b)[NAME_SLICE][:70])
+
+
+def _assert_matches_reference(encoder, call):
+    got = encoder.encode(call)
+    expect = reference_encode(call, encoder.table, encoder.vocabs)
+    assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes(), call
+
+
+def test_encode_matches_reference_on_cwe79_templates(encoder):
+    db = load_fingerprints(FIXTURES / "cwe79.fp", encoder)
+    calls = [call for eid in db.exploit_ids for call in db[eid].templates]
+    assert len(calls) == 327
+    for call in calls:
+        _assert_matches_reference(encoder, call)
+
+
+def test_encode_matches_reference_on_cwe79_benign(encoder):
+    with open(FIXTURES / "cwe79_benign.jsonl") as fh:
+        calls = read_trace(fh, encoder.vocabs).calls
+    assert calls
+    for call in calls:
+        _assert_matches_reference(encoder, call)
+
+
+_ENCODER = FeatureEncoder.from_paths()
+_VOCABS = _ENCODER.vocabs
+_WORDS = ("read", "line", "get", "http", "zzgremlin", "frobnicate", "to", "string", "x")
+
+
+@st.composite
+def _calls(draw):
+    words = draw(st.lists(st.sampled_from(_WORDS), min_size=0, max_size=11))
+    name = "".join(w.capitalize() if i else w for i, w in enumerate(words))
+    io = st.lists(st.sampled_from(_VOCABS.io_types[:4] + _VOCABS.io_types[-2:]), max_size=9)
+    return InstructionCall(
+        name,
+        draw(st.sampled_from(CATEGORIES)),
+        draw(st.sampled_from(SCOPES)),
+        draw(st.sampled_from(_VOCABS.packages)),
+        inputs=tuple(draw(io)),
+        outputs=tuple(draw(io)),
+    )
+
+
+@given(_calls())
+@example(InstructionCall(
+    "readLineGetHttpToStringZzgremlinFrobnicateReadX", "phi", "Primordial", _VOCABS.packages[3],
+    inputs=(_VOCABS.io_types[0],) * 3, outputs=(_VOCABS.io_types[1], _VOCABS.io_types[1]),
+))
+def test_encode_matches_reference_on_generated_calls(call):
+    """Names beyond seven tokens, out-of-table tokens and repeated I/O types."""
+    _assert_matches_reference(_ENCODER, call)
 
 
 def test_encode_deterministic(encoder, vocabs):

@@ -6,9 +6,14 @@ oracle, so the production forward pass and the oracle cannot drift together
 unnoticed.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from chainwatch import mlp
 from chainwatch.mlp import (
     LAYER_SIZES,
     N_LABELS,
@@ -22,8 +27,9 @@ from chainwatch.mlp import (
     grad_check,
     init_model,
     load_model,
+    logit_cut,
     loss_and_grads,
-    predict,
+    nominator,
     save_model,
     train,
 )
@@ -82,7 +88,7 @@ def test_forward_rejects_other_shapes(shape):
 
 def test_predict_rejects_a_batch():
     with pytest.raises(ValueError, match="one call"):
-        predict(init_model(0), np.zeros((2, 151)))
+        nominator(init_model(0), 0.5)(np.zeros((2, 151)))
 
 
 def test_forward_2d_matches_1d():
@@ -102,21 +108,110 @@ def test_zero_input_zero_bias_gives_half_probabilities():
 
 
 class TestPredict:
+    """The labels a nominator predicts for one call at a threshold."""
+
     def test_threshold_inclusive(self):
         # zero input gives exactly 0.5 everywhere, so 0.5 must select all
-        pred = predict(init_model(0), np.zeros(151), threshold=0.5)
-        assert pred.predicted == frozenset(range(79))
+        assert nominator(init_model(0), 0.5)(np.zeros(151)) == frozenset(range(79))
 
     def test_threshold_monotone(self):
         m = init_model(seed=11)
         x = np.random.default_rng(2).standard_normal(151)
-        sets = [predict(m, x, threshold=th).predicted for th in (0.3, 0.5, 0.7)]
+        sets = [nominator(m, th)(x) for th in (0.3, 0.5, 0.7)]
         assert sets[2] <= sets[1] <= sets[0]
 
     def test_threshold_range_enforced(self):
         for bad in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(ValueError):
-                predict(init_model(0), np.zeros(151), threshold=bad)
+                nominator(init_model(0), bad)
+
+
+def _random_model(seed: int, scale: float) -> MlpModel:
+    rng = np.random.default_rng(seed)
+    arrays = [rng.standard_normal(shape) * scale / np.sqrt(shape[-1]) for _, shape in mlp._SHAPES]
+    return MlpModel(*arrays)
+
+
+def _out_of_place_forward(m, x):
+    """The forward pass as one out-of-place expression per layer."""
+    h1 = np.maximum(x @ m.w1.T + m.b1, 0.0)
+    h2 = np.maximum(h1 @ m.w2.T + m.b2, 0.0)
+    return mlp._sigmoid_stable(h2 @ m.w3.T + m.b3)
+
+
+@pytest.mark.parametrize("shape", [(151,), (1, 151), (17, 151)])
+def test_forward_bit_equal_to_out_of_place_expression(shape):
+    m = _random_model(5, 3.0)
+    x = np.random.default_rng(6).standard_normal(shape)
+    assert forward(m, x).tobytes() == _out_of_place_forward(m, x).tobytes()
+
+
+# The thresholds the nomination cut is tested at: inside its proven range
+# (first three) and outside it, where every call must take the full path.
+CUT_THRESHOLDS = (1e-12, 0.5, 1.0 - 1e-12)
+FULL_PATH_THRESHOLDS = (float(np.nextafter(1.0, 0.0)), 5e-324)
+
+
+def _thresholded_forward(m, x, threshold) -> frozenset[int]:
+    probs = forward(m, x)
+    return frozenset(i for i in range(N_LABELS) if probs[i] >= threshold)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([0.1, 1.0, 4.0, 30.0]),
+    threshold=st.one_of(
+        st.sampled_from(CUT_THRESHOLDS + FULL_PATH_THRESHOLDS),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    ),
+)
+def test_nomination_equals_thresholded_forward(seed, scale, threshold):
+    m = _random_model(seed, scale)
+    x = np.random.default_rng(seed + 1).standard_normal(151) * scale
+    assert nominator(m, threshold)(x) == _thresholded_forward(m, x, threshold)
+
+
+def _logits_model(b3: np.ndarray) -> MlpModel:
+    """A model whose logits are exactly ``b3`` on every input (W3 is zero)."""
+    m = init_model(0)
+    m.w3 = np.zeros_like(m.w3)
+    m.b3 = np.asarray(b3, dtype=np.float64)
+    return m
+
+
+@given(
+    threshold=st.sampled_from(CUT_THRESHOLDS + FULL_PATH_THRESHOLDS),
+    ulps=st.lists(st.integers(-6, 6), min_size=N_LABELS, max_size=N_LABELS),
+)
+def test_nomination_exact_at_the_cut(threshold, ulps):
+    """Logits within a few ulps of logit(t) - 1, on both sides of it."""
+    anchor = math.log(threshold / (1.0 - threshold)) - 1.0
+    b3 = np.array([anchor + k * math.ulp(anchor) for k in ulps])
+    m = _logits_model(b3)
+    x = np.zeros(151)
+    np.testing.assert_array_equal(mlp.logits(m, x), b3)
+    assert nominator(m, threshold)(x) == _thresholded_forward(m, x, threshold)
+
+
+def test_cut_range():
+    for t in CUT_THRESHOLDS:
+        assert logit_cut(t) == math.log(t / (1.0 - t)) - 1.0
+    for t in FULL_PATH_THRESHOLDS:
+        assert logit_cut(t) == -math.inf
+
+
+@pytest.mark.parametrize("threshold", CUT_THRESHOLDS + FULL_PATH_THRESHOLDS)
+def test_logistic_skipped_only_below_a_proven_cut(threshold, monkeypatch):
+    calls = []
+    sigmoid = mlp._sigmoid_stable
+    monkeypatch.setattr(mlp, "_sigmoid_stable", lambda z: calls.append(z) or sigmoid(z))
+    anchor = math.log(threshold / (1.0 - threshold)) - 1.0
+    below = np.full(N_LABELS, anchor - 2 * math.ulp(anchor))
+    x = np.zeros(151)
+    nominate = nominator(_logits_model(below), threshold)
+    got = nominate(x)
+    assert len(calls) == (1 if threshold in FULL_PATH_THRESHOLDS else 0)
+    assert got == _thresholded_forward(_logits_model(below), x, threshold)
 
 
 def test_bce_loss_analytic_values():
@@ -178,7 +273,7 @@ def test_overfits_single_example():
     model, report = train(x, t, TrainConfig(learning_rate=1.0, epochs=200, batch_size=1, seed=0))
     assert report.final_loss < 0.01
     assert report.final_loss < report.initial_loss
-    assert predict(model, x[0]).predicted == frozenset({3, 40})
+    assert nominator(model, 0.5)(x[0]) == frozenset({3, 40})
 
 
 def test_train_deterministic_bit_identical():
