@@ -122,6 +122,7 @@ def run_detection(
     summary = SessionSummary(trace_id=tid)
     alarms: list[AlarmRecord] = []
     events: list[MonitorEvent] = []
+    alarm, no_match = EventKind.ALARM, EventKind.NO_MATCH
 
     for offset, call in enumerate(calls):
         summary.total_calls += 1
@@ -139,8 +140,10 @@ def run_detection(
         summary.monitor_steps += 1
         summary.comparisons += len(step_events)
         events.extend(step_events)
-        for event in step_events:
-            if event.kind is EventKind.ALARM:
+        matched = [e for e in step_events if e.kind is not no_match]
+        summary.no_match_events += len(step_events) - len(matched)
+        for event in matched:
+            if event.kind is alarm:
                 summary.alarms += 1
                 alarms.append(
                     AlarmRecord(
@@ -151,10 +154,8 @@ def run_detection(
                         similarity=event.similarity,
                     )
                 )
-            elif event.kind is EventKind.ADVANCED:
-                summary.advanced_events += 1
             else:
-                summary.no_match_events += 1
+                summary.advanced_events += 1
         if config.halt_on_alarm and summary.alarms:
             summary.halted = True
             break

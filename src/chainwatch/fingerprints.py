@@ -8,8 +8,8 @@ Fingerprint file grammar (newline-delimited JSON, blank lines ignored):
   grammar, optionally extended with ``"role": "source" | "sink"`` used when
   lowering the fingerprint to a dataflow query.
 
-Template feature vectors are encoded once at load time; the monitor compares
-against these pre-encoded rows.
+Template feature vectors are encoded once at load time, and each row's norm
+is taken then too; the monitor compares against these pre-encoded rows.
 """
 
 from __future__ import annotations
@@ -50,6 +50,9 @@ class Fingerprint:
     templates: tuple[InstructionCall, ...]
     roles: tuple[str | None, ...]
     template_vectors: np.ndarray = field(repr=False)
+    # Derived from template_vectors, which is made read-only so they cannot go stale.
+    template_rows: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    template_norms: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.templates) == 0:
@@ -58,6 +61,10 @@ class Fingerprint:
             raise FingerprintError(f"exploit {self.exploit_id}: role/template length mismatch")
         if self.template_vectors.shape != (len(self.templates), VECTOR_DIM):
             raise FingerprintError(f"exploit {self.exploit_id}: bad template vector shape")
+        self.template_vectors.setflags(write=False)
+        rows = tuple(self.template_vectors)
+        object.__setattr__(self, "template_rows", rows)
+        object.__setattr__(self, "template_norms", tuple(float(np.sqrt(r @ r)) for r in rows))
 
     def __len__(self) -> int:
         return len(self.templates)

@@ -36,7 +36,7 @@ class EventKind(enum.Enum):
     NO_MATCH = "no_match"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MonitorEvent:
     kind: EventKind
     exploit_id: int
@@ -45,14 +45,11 @@ class MonitorEvent:
     similarity: float
 
 
-def _cosine(a, b) -> float:
-    """Cosine similarity; either operand with zero norm yields 0.0."""
-    na = np.sqrt(a @ a)
-    nb = np.sqrt(b @ b)
-    if na == 0.0 or nb == 0.0:
+def _similarity(dot: float, norm_a: float, norm_b: float) -> float:
+    """The cosine formula: either norm zero yields 0.0, else the quotient clamped to [-1, 1]."""
+    if norm_a == 0.0 or norm_b == 0.0:
         return 0.0
-    sim = float(a @ b) / (float(na) * float(nb))
-    return min(1.0, max(-1.0, sim))
+    return min(1.0, max(-1.0, dot / (norm_a * norm_b)))
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -61,7 +58,7 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     b = np.ascontiguousarray(b, dtype=np.float64)
     if a.ndim != 1 or a.shape != b.shape:
         raise MonitorError(f"cosine expects equal-length vectors, got {a.shape} and {b.shape}")
-    return _cosine(a, b)
+    return _similarity(float(a @ b), float(np.sqrt(a @ a)), float(np.sqrt(b @ b)))
 
 
 class StateTable:
@@ -103,28 +100,27 @@ class StateTable:
             if eid not in self._next:
                 raise MonitorError(f"candidate exploit id {eid} is not in the state table")
 
+        # The call's norm is taken once per step and each template's at load, so a
+        # comparison is one dot product; the values equal cosine(x, row) bit for bit.
+        norm = float(np.sqrt(x @ x))
+        dot = x.dot
         fingerprints = self.db.fingerprints
+        cursors = self._next
+        advanced, alarm, no_match = EventKind.ADVANCED, EventKind.ALARM, EventKind.NO_MATCH
         events = []
+        append = events.append
         for eid in candidate_list:
             fp = fingerprints[eid]
-            i = self._next[eid]
-            sim = _cosine(x, fp.template_vectors[i])
+            i = cursors[eid]
+            sim = _similarity(float(dot(fp.template_rows[i])), norm, fp.template_norms[i])
             if sim >= threshold:
                 if i == len(fp) - 1:
-                    self._next[eid] = 0
-                    kind = EventKind.ALARM
+                    cursors[eid] = 0
+                    kind = alarm
                 else:
-                    self._next[eid] = i + 1
-                    kind = EventKind.ADVANCED
+                    cursors[eid] = i + 1
+                    kind = advanced
             else:
-                kind = EventKind.NO_MATCH
-            events.append(
-                MonitorEvent(
-                    kind=kind,
-                    exploit_id=eid,
-                    cwe_id=fp.cwe_id,
-                    trace_offset=trace_offset,
-                    similarity=sim,
-                )
-            )
+                kind = no_match
+            append(MonitorEvent(kind, eid, fp.cwe_id, trace_offset, sim))
         return events

@@ -4,7 +4,9 @@ Everything here is written from the behavioral contracts alone and avoids the
 production code paths: the chain matcher works on raw call equality instead of
 encoded vectors, the graph oracle enumerates simple paths with networkx, the
 reference encoder concatenates the documented blocks one by one, and the
-scalar helpers use plain Python arithmetic.
+scalar helpers use plain Python arithmetic.  The reference monitor step shares
+only ``cosine()`` with the program, so it checks the step's bookkeeping and
+its precomputed norms, not the cosine formula itself.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 
 from chainwatch.sdg import FLOW_LABELS, Sdg, VulnQuery, template_matches
 from chainwatch.encoder import tokenize_api_name
+from chainwatch.monitor import cosine
 from chainwatch.trace import InstructionCall
 from chainwatch.vocab import CATEGORIES, SCOPES
 
@@ -48,6 +51,33 @@ class NaiveChainMatcher:
                 continue
             self.feed(call, offset)
         return self.alarms
+
+
+def reference_step(db, cursors, candidates, x, trace_offset, threshold):
+    """One monitor step as the contract states it, with ``cosine()`` per candidate.
+
+    ``cursors`` maps exploit id -> index of its next template and is updated in
+    place.  Each candidate, once and in ascending id order, is compared with
+    its next template row of ``template_vectors``, both norms taken afresh; a
+    similarity at or above ``threshold`` advances it, or on the last template
+    alarms and rewinds it to 0.  Returns one ``(kind name, exploit id, cwe id,
+    offset, similarity)`` tuple per candidate.
+    """
+    out = []
+    for eid in sorted(set(candidates)):
+        fp = db[eid]
+        i = cursors[eid]
+        sim = cosine(x, fp.template_vectors[i])
+        if sim < threshold:
+            kind = "NO_MATCH"
+        elif i == len(fp.templates) - 1:
+            cursors[eid] = 0
+            kind = "ALARM"
+        else:
+            cursors[eid] = i + 1
+            kind = "ADVANCED"
+        out.append((kind, eid, fp.cwe_id, trace_offset, sim))
+    return out
 
 
 def brute_force_flows(sdg: Sdg, query: VulnQuery):

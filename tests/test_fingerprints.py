@@ -116,9 +116,36 @@ def test_validate_encoding_detects_drift(sql_db, encoder):
         roles=fp.roles,
         template_vectors=tampered,
     )
+    assert bad_fp.template_norms[0] == float(np.sqrt(tampered[0] @ tampered[0]))
+    assert bad_fp.template_norms[0] != fp.template_norms[0]
+    assert bad_fp.template_norms[1:] == fp.template_norms[1:]
     bad_db = FingerprintDb(fingerprints={0: bad_fp})
     with pytest.raises(FingerprintError, match="disagree"):
         validate_encoding(bad_db, encoder)
+
+
+def test_template_norms_computed_at_load(encoder):
+    """Each norm is bit-equal to the per-row expression a comparison would use."""
+    db = load_fingerprints(FIXTURES / "cwe79.fp", encoder)
+    rows = 0
+    for fp in db.fingerprints.values():
+        assert len(fp.template_rows) == len(fp.template_norms) == len(fp)
+        for i, v in enumerate(fp.template_vectors):
+            assert fp.template_norms[i].hex() == float(np.sqrt(v @ v)).hex()
+            assert np.shares_memory(fp.template_rows[i], fp.template_vectors)
+            assert np.array_equal(fp.template_rows[i], v)
+            rows += 1
+    assert rows == 327
+
+
+def test_template_vectors_read_only(sql_db):
+    fp = sql_db[0]
+    with pytest.raises(ValueError, match="read-only"):
+        fp.template_vectors[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        fp.template_rows[0][0] += 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        fp.template_vectors *= 2.0
 
 
 class TestWhiteList:

@@ -10,7 +10,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chainwatch.encoder import VECTOR_DIM
 from chainwatch.monitor import (
     DEFAULT_COSINE_THRESHOLD,
     EventKind,
@@ -18,10 +21,10 @@ from chainwatch.monitor import (
     StateTable,
     cosine,
 )
-from chainwatch.fingerprints import FingerprintDb
+from chainwatch.fingerprints import Fingerprint, FingerprintDb
 from chainwatch.synthgen import mixed_trace
 
-from .oracles import NaiveChainMatcher
+from .oracles import NaiveChainMatcher, reference_step
 
 
 def _alarms(events):
@@ -245,3 +248,100 @@ def test_matches_equality_oracle_on_separated_world(small_world, small_db, encod
                         got.append((ev.exploit_id, ev.trace_offset))
             expect = NaiveChainMatcher(small_world.chains).run(calls)
             assert got == expect, (seed, threshold)
+
+
+ZERO_ROW_ID = 6
+
+
+@pytest.fixture(scope="module")
+def step_db(small_db):
+    """The small world plus one exploit whose second template row is all zeros."""
+    base = small_db[3]
+    vectors = base.template_vectors.copy()
+    vectors[1] = 0.0
+    zero_row = Fingerprint(
+        exploit_id=ZERO_ROW_ID,
+        cwe_id="CWE-0",
+        label="zero template row",
+        templates=base.templates,
+        roles=base.roles,
+        template_vectors=vectors,
+    )
+    assert ZERO_ROW_ID not in small_db and zero_row.template_norms[1] == 0.0
+    return FingerprintDb(fingerprints={**small_db.fingerprints, ZERO_ROW_ID: zero_row})
+
+
+def _step_both(table, cursors, candidates, x, offset, threshold):
+    """Step the table and the reference alike; events (similarity to the bit) and cursors agree."""
+    got = table.step(candidates, x, offset, threshold=threshold)
+    want = reference_step(table.db, cursors, candidates, x, offset, threshold)
+    assert [
+        (e.kind.name, e.exploit_id, e.cwe_id, e.trace_offset, e.similarity.hex()) for e in got
+    ] == [(kind, eid, cwe, off, sim.hex()) for kind, eid, cwe, off, sim in want]
+    assert {eid: table.next_index(eid) for eid in table.db.exploit_ids} == cursors
+    return got
+
+
+def _step_args(db, cursors):
+    """One (candidates, x, threshold) draw; x is often a candidate's next template."""
+    ids = db.exploit_ids
+    rows = [row for eid in ids for row in db[eid].template_vectors]
+    upcoming = [db[eid].template_vectors[cursors[eid]] for eid in ids]
+    scales = st.sampled_from([1.0, 3.0, 0.1, 7.0, 1e3, 1e-3, -1.0]) | st.floats(1e-6, 1e6)
+    seeds = st.integers(0, 2**32 - 1)
+    vectors = st.one_of(
+        st.just(np.zeros(VECTOR_DIM)),
+        # scaled copies of templates: the unclamped quotient lands above, on and below 1.0
+        st.builds(lambda row, c: c * row, st.sampled_from(upcoming), scales),
+        st.builds(lambda row, c: c * row, st.sampled_from(rows), scales),
+        st.builds(
+            lambda row, seed: row + 1e-9 * np.random.default_rng(seed).standard_normal(VECTOR_DIM),
+            st.sampled_from(upcoming),
+            seeds,
+        ),
+        st.builds(lambda seed: np.random.default_rng(seed).standard_normal(VECTOR_DIM), seeds),
+    )
+    candidates = st.lists(st.sampled_from(ids), max_size=2 * len(ids))  # duplicates included
+    thresholds = st.sampled_from(
+        [1.0, float(np.nextafter(0.9, 1.0)), DEFAULT_COSINE_THRESHOLD, 0.5]
+    )
+    return st.tuples(candidates, vectors, thresholds)
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_step_is_bit_equal_to_reference(step_db, data):
+    """Events, similarities to the bit, and cursors match one cosine() per candidate."""
+    table = StateTable(step_db)
+    cursors = dict.fromkeys(step_db.exploit_ids, 0)
+    for offset in range(data.draw(st.integers(1, 30))):
+        candidates, x, threshold = data.draw(_step_args(step_db, cursors))
+        _step_both(table, cursors, candidates, x, offset, threshold)
+
+
+def test_step_clamps_and_zero_norms_as_reference(step_db):
+    """The cases the property test relies on are reached: zero template, zero call, clamp."""
+    table = StateTable(step_db)
+    cursors = dict.fromkeys(step_db.exploit_ids, 0)
+
+    def step(candidates, x, offset, threshold=DEFAULT_COSINE_THRESHOLD):
+        return _step_both(table, cursors, candidates, x, offset, threshold)
+
+    first = step_db[ZERO_ROW_ID].template_vectors[0]
+    assert [e.kind for e in step([ZERO_ROW_ID], first, 0)] == [EventKind.ADVANCED]
+    on_zero_row = step([ZERO_ROW_ID, ZERO_ROW_ID], first, 1)
+    assert [(e.kind, e.similarity) for e in on_zero_row] == [(EventKind.NO_MATCH, 0.0)]
+    zero_call = step(step_db.exploit_ids, np.zeros(VECTOR_DIM), 2)
+    assert {(e.kind, e.similarity) for e in zero_call} == {(EventKind.NO_MATCH, 0.0)}
+
+    clamped = 0
+    offset = 3
+    for eid in step_db.exploit_ids:
+        for row in step_db[eid].template_vectors:
+            for c in (1.0, 3.0, 1e3):
+                x = c * row
+                norms = float(np.sqrt(x @ x)) * float(np.sqrt(row @ row))
+                clamped += bool(norms) and float(x @ row) / norms > 1.0
+                step([eid], x, offset, threshold=1.0)
+                offset += 1
+    assert clamped > 0

@@ -175,6 +175,7 @@ def test_lower_fingerprint_requires_roles(sql_db):
         roles=(None,) * len(fp.templates),
         template_vectors=fp.template_vectors,
     )
+    assert unroled.template_norms == fp.template_norms
     with pytest.raises(MissingRoleAnnotation):
         lower_fingerprint(unroled)
 
