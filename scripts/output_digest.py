@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
-"""Print one sha256 per detection mode over everything detection reports.
+"""Print one sha256 per detection mode, and one for training, over everything they report.
 
     python3 scripts/output_digest.py --corpus CORPUS --model MODEL --fingerprints FP
 
 Runs ``engine.detect`` and ``engine.detect_naive`` over every trace of one
-corpus split (sorted by file name, a fresh state table per trace, the bundled
-embeddings, vocabularies and white-list unless given) and hashes every field
-of every ``AlarmRecord``, ``MonitorEvent`` and ``SessionSummary`` in order.
-Floats are hashed as ``float.hex``, so two trees print the same digest only
-when their outputs are bit-identical.  One line per mode:
-``<mode> alarms=<n> events=<n> sha256=<hex>``.
+corpus split (sorted by file name, a fresh state table per trace, events
+kept, the bundled embeddings, vocabularies and white-list unless given) and
+hashes every field of every ``AlarmRecord``, ``MonitorEvent`` and
+``SessionSummary`` in order.  Then runs ``mlp.train`` on the corpus's train
+split with the benchmark's round recipe (``TRAIN_CONFIG``) and hashes every
+tensor's bytes and every loss of its report.  Floats are hashed as
+``float.hex``, so two trees print the same digest only when their outputs are
+bit-identical.  One line per detection mode,
+``<mode> alarms=<n> events=<n> sha256=<hex>``, then
+``train rows=<n> sha256=<hex>``.
 
 It imports ``chainwatch`` from the ``src`` next to it, so a copy placed in
 another checkout digests that checkout.
@@ -32,6 +36,7 @@ from chainwatch.encoder import FeatureEncoder
 from chainwatch.fingerprints import WhiteList, load_fingerprints
 
 DEFAULT_WHITELIST = ROOT / "src" / "chainwatch" / "data" / "fixtures" / "whitelist.txt"
+TRAIN_CONFIG = mlp.TrainConfig(learning_rate=2.0, epochs=2, batch_size=32, seed=0)
 
 
 def _field(value) -> str:
@@ -58,6 +63,15 @@ def digest(results) -> tuple[int, int, str]:
     return alarms, events, h.hexdigest()
 
 
+def train_digest(model: mlp.MlpModel, report: mlp.TrainReport) -> str:
+    h = hashlib.sha256()
+    for name, arr in model.tensors():
+        h.update(name.encode() + b"=" + arr.tobytes() + b"\n")
+    losses = (report.initial_loss, *report.epoch_losses, report.final_loss)
+    h.update(",".join(loss.hex() for loss in losses).encode())
+    return h.hexdigest()
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--corpus", required=True, help="Corpus directory.")
@@ -74,12 +88,17 @@ def main() -> int:
     model = mlp.load_model(args.model)
     traces = [item.trace for item in corpus.load_split(args.corpus, args.split, encoder.vocabs)]
     modes = {
-        "detect": lambda t: engine.detect(t, encoder, whitelist, db, model),
-        "detect_naive": lambda t: engine.detect_naive(t, encoder, whitelist, db),
+        "detect": lambda t: engine.detect(t, encoder, whitelist, db, model, keep_events=True),
+        "detect_naive": lambda t: engine.detect_naive(t, encoder, whitelist, db, keep_events=True),
     }
     for mode, run in modes.items():
         alarms, events, hexdigest = digest(run(t) for t in traces)
         print(f"{mode} alarms={alarms} events={events} sha256={hexdigest}")
+
+    items = corpus.load_split(args.corpus, "train", encoder.vocabs)
+    x, t = corpus.build_xy(items, encoder, corpus.read_manifest(args.corpus)["n_labels"])
+    trained, report = mlp.train(x, t, TRAIN_CONFIG)
+    print(f"train rows={x.shape[0]} sha256={train_digest(trained, report)}")
     return 0
 
 

@@ -106,11 +106,15 @@ def run_detection(
     candidate_fn: CandidateFn,
     config: EngineConfig,
     count_classifier: bool = True,
+    keep_events: bool = False,
 ) -> DetectionResult:
     """Run the pipeline over one trace against an existing state table.
 
     ``count_classifier`` is False in naive mode, where the fixed full
-    candidate set involves no classifier invocation.
+    candidate set involves no classifier invocation.  ``keep_events`` keeps
+    every ``MonitorEvent`` in ``DetectionResult.events``, one per comparison;
+    otherwise ``events`` stays empty.  Alarms and the summary are the same
+    either way.
     """
     if isinstance(trace, Trace):
         calls = trace.calls
@@ -139,7 +143,8 @@ def run_detection(
         step_events = table.step(candidates, x, offset, threshold=config.threshold_cosine)
         summary.monitor_steps += 1
         summary.comparisons += len(step_events)
-        events.extend(step_events)
+        if keep_events:
+            events.extend(step_events)
         matched = [e for e in step_events if e.kind is not no_match]
         summary.no_match_events += len(step_events) - len(matched)
         for event in matched:
@@ -171,12 +176,15 @@ def detect(
     model: mlp.MlpModel,
     config: EngineConfig | None = None,
     table: StateTable | None = None,
+    keep_events: bool = False,
 ) -> DetectionResult:
     """Classifier-filtered detection over one trace."""
     config = config if config is not None else EngineConfig()
     table = table if table is not None else StateTable(db)
     nominate = classifier_candidates(model, db, config.threshold_classify)
-    return run_detection(trace, encoder, whitelist, table, nominate, config)
+    return run_detection(
+        trace, encoder, whitelist, table, nominate, config, keep_events=keep_events
+    )
 
 
 def detect_naive(
@@ -186,10 +194,12 @@ def detect_naive(
     db: FingerprintDb,
     config: EngineConfig | None = None,
     table: StateTable | None = None,
+    keep_events: bool = False,
 ) -> DetectionResult:
     """Exhaustive detection: every stored exploit is a candidate on every call."""
     config = config if config is not None else EngineConfig()
     table = table if table is not None else StateTable(db)
     return run_detection(
-        trace, encoder, whitelist, table, full_candidates(db), config, count_classifier=False
+        trace, encoder, whitelist, table, full_candidates(db), config,
+        count_classifier=False, keep_events=keep_events,
     )

@@ -42,8 +42,14 @@ class EmptyFingerprint(FingerprintError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Fingerprint:
+    """One exploit's ordered templates and their encoded rows.
+
+    Compared and hashed by identity: a generated ``__eq__`` would compare
+    ``template_vectors`` with ``==``, whose truth value is ambiguous.
+    """
+
     exploit_id: int
     cwe_id: str
     label: str

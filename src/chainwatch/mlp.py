@@ -95,12 +95,12 @@ def init_model(seed: int = 0) -> MlpModel:
 
 
 def _sigmoid_stable(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Logistic that never overflows: ``1 / (1 + e)`` for ``z >= 0`` and
+    ``e / (1 + e)`` below, with ``e = exp(-|z|)`` in both, so ``exp`` only sees
+    arguments at or below zero.  Both branches are evaluated on every element
+    and ``np.where`` picks one."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def logits(model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -191,11 +191,16 @@ def nominator(model: MlpModel, threshold: float):
     return nominate
 
 
+def _bce_terms(y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The per-element terms whose negated mean is :func:`bce_loss`."""
+    y = np.clip(y, _LOSS_CLAMP, 1.0 - _LOSS_CLAMP)
+    return t * np.log(y) + (1.0 - t) * np.log(1.0 - y)
+
+
 def bce_loss(y: np.ndarray, t: np.ndarray) -> float:
     """Mean binary cross-entropy with probabilities clamped to [1e-7, 1-1e-7]."""
-    y = np.clip(np.asarray(y, dtype=np.float64), _LOSS_CLAMP, 1.0 - _LOSS_CLAMP)
-    t = np.asarray(t, dtype=np.float64)
-    return float(-np.mean(t * np.log(y) + (1.0 - t) * np.log(1.0 - y)))
+    terms = _bce_terms(np.asarray(y, dtype=np.float64), np.asarray(t, dtype=np.float64))
+    return float(-np.mean(terms))
 
 
 def loss_and_grads(model: MlpModel, x: np.ndarray, t: np.ndarray):
@@ -250,8 +255,39 @@ class TrainReport:
     epoch_losses: list[float] = field(default_factory=list)
 
 
+_LOSS_CHUNK_ROWS = 512
+
+
+def _full_set_loss(model: MlpModel, x: np.ndarray, t: np.ndarray) -> float:
+    """``bce_loss(forward(model, x), t)``, bit for bit, one row chunk at a time.
+
+    Only the ``(n, 79)`` array of loss terms is full-size; the forward pass
+    holds one chunk of 512 to 1,023 rows (see :func:`train` for the rule).
+    """
+    n = x.shape[0]
+    terms = np.empty((n, N_LABELS))
+    starts = [i * _LOSS_CHUNK_ROWS for i in range(max(1, n // _LOSS_CHUNK_ROWS))]
+    for start, stop in zip(starts, starts[1:] + [n]):
+        terms[start:stop] = _bce_terms(forward(model, x[start:stop]), t[start:stop])
+    return float(-np.mean(terms))
+
+
 def train(x: np.ndarray, t: np.ndarray, config: TrainConfig) -> tuple[MlpModel, TrainReport]:
-    """Minibatch gradient descent from a seeded init.  Deterministic per seed."""
+    """Minibatch gradient descent from a seeded init.  Deterministic per seed.
+
+    The report's ``initial_loss`` and ``final_loss`` equal ``bce_loss(forward(
+    model, x), t)`` bit for bit, but the forward pass runs over row chunks, so
+    the peak heap is the ``(n, 79)`` array of loss terms rather than every
+    layer's activations over the whole set.  There are ``max(1, n // 512)``
+    chunks, each starting at a multiple of 512; the last one takes the
+    remainder, so a chunk holds 512 to 1,023 rows, or all rows when n < 512.
+    The remainder is merged because chunk rows are bit-equal to full-set rows
+    only for some row counts: on OpenBLAS 0.3.31 (Haswell kernels, two
+    threads), a product over M rows gives rows bit-equal to the full-set rows
+    for M in 16 to 32 and for M >= 151, but not for M in 1 to 15 or 33 to 150,
+    so a plain split into fixed chunks would be exact or not depending on
+    ``n % chunk``.
+    """
     x = np.asarray(x, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != LAYER_SIZES[0]:
@@ -263,7 +299,7 @@ def train(x: np.ndarray, t: np.ndarray, config: TrainConfig) -> tuple[MlpModel, 
 
     model = init_model(config.seed)
     rng = np.random.default_rng(config.seed)
-    initial_loss = bce_loss(forward(model, x), t)
+    initial_loss = _full_set_loss(model, x, t)
     epoch_losses = []
     n = x.shape[0]
     for _ in range(config.epochs):
@@ -276,7 +312,7 @@ def train(x: np.ndarray, t: np.ndarray, config: TrainConfig) -> tuple[MlpModel, 
             for name, grad in grads.items():
                 setattr(model, name, getattr(model, name) - config.learning_rate * grad)
         epoch_losses.append(float(np.mean(batch_losses)))
-    final_loss = bce_loss(forward(model, x), t)
+    final_loss = _full_set_loss(model, x, t)
     return model, TrainReport(initial_loss, final_loss, epoch_losses)
 
 

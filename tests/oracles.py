@@ -157,6 +157,17 @@ def straight_line_forward(x, w1, b1, w2, b2, w3, b3):
     return y
 
 
+def reference_sigmoid(z: np.ndarray) -> np.ndarray:
+    """The logistic in the masked form: ``1 / (1 + exp(-z))`` gathered over
+    ``z >= 0`` and ``exp(z) / (1 + exp(z))`` over the rest, scattered back."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 def reference_encode(call: InstructionCall, table, vocabs) -> np.ndarray:
     """The 151-component vector as the layout documents it, block by block.
 

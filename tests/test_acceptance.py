@@ -361,7 +361,7 @@ def test_criterion_8_pipeline_ordering(encoder, whitelist, sql_db, vocabs):
     assert sum(c.api_name in whitelist for c in calls) == 300
 
     model = mlp.init_model(0)
-    res = detect(calls, encoder, whitelist, sql_db, model)
+    res = detect(calls, encoder, whitelist, sql_db, model, keep_events=True)
     s = res.summary
     # Every comparison produces exactly one event carrying its trace offset,
     # so attributing work to white-listed positions is a direct lookup.

@@ -63,7 +63,7 @@ def test_whitelist_short_circuits(sql_db, encoder, small_world):
     """A whitelisted call is dropped before encoding, nomination and matching."""
     wl = WhiteList(["readLine"])  # whitelist the chain's own source
     trace = Trace("demo", list(sql_db[0].templates))
-    result = detect_naive(trace, encoder, wl, sql_db)
+    result = detect_naive(trace, encoder, wl, sql_db, keep_events=True)
     s = result.summary
     assert s.total_calls == 3
     assert s.whitelisted_calls == 1
@@ -187,12 +187,24 @@ def test_naive_comparisons_match_events(small_world, small_db, encoder, whitelis
     """Naive mode counts one comparison per event, on a multi-exploit database."""
     rng = np.random.default_rng(41)
     calls = mixed_trace(small_world, rng, length=100, plant=3)
-    result = detect_naive(Trace("n", calls), encoder, whitelist, small_db)
+    result = detect_naive(Trace("n", calls), encoder, whitelist, small_db, keep_events=True)
     s = result.summary
     assert len(small_db) > 1
     assert s.alarms > 0
     assert s.comparisons == len(result.events) == s.monitor_steps * len(small_db)
     assert s.advanced_events + s.no_match_events + s.alarms == s.comparisons
+
+
+def test_events_kept_only_when_asked(small_world, small_db, encoder, whitelist):
+    """By default no event is kept; alarms and the summary do not depend on it."""
+    rng = np.random.default_rng(41)
+    trace = Trace("n", mixed_trace(small_world, rng, length=100, plant=3))
+    lean = detect_naive(trace, encoder, whitelist, small_db)
+    kept = detect_naive(trace, encoder, whitelist, small_db, keep_events=True)
+    assert lean.events == []
+    assert len(kept.events) == kept.summary.comparisons > 0
+    assert lean.alarms == kept.alarms and lean.alarms
+    assert lean.summary == kept.summary
 
 
 def test_shared_table_carries_state_across_traces(sql_db, encoder):

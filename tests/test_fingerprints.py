@@ -172,3 +172,13 @@ class TestWhiteList:
 def test_fixture_whitelist_file_has_comment_header():
     text = (FIXTURES / "whitelist.txt").read_text()
     assert any(line.startswith("#") for line in text.splitlines())
+
+
+def test_fingerprints_compare_and_hash_by_identity(encoder):
+    """Two loads of one file give fingerprints that compare unequal without raising."""
+    a = load_fingerprints(FIXTURES / "sqlinj.fp", encoder)[0]
+    b = load_fingerprints(FIXTURES / "sqlinj.fp", encoder)[0]
+    assert (a == b) is False
+    assert a == a
+    assert hash(a) == hash(a)
+    assert len({a, b}) == 2

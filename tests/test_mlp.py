@@ -7,6 +7,7 @@ unnoticed.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from chainwatch.mlp import (
     train,
 )
 
-from .oracles import straight_line_forward
+from .oracles import reference_sigmoid, straight_line_forward
 
 
 def test_architecture():
@@ -144,6 +145,50 @@ def test_forward_bit_equal_to_out_of_place_expression(shape):
     m = _random_model(5, 3.0)
     x = np.random.default_rng(6).standard_normal(shape)
     assert forward(m, x).tobytes() == _out_of_place_forward(m, x).tobytes()
+
+
+SIGMOID_EDGES = [
+    v for m in (0.0, 5e-324, 1e-300, 745.0, 746.0, 1e308, math.inf) for v in (m, -m)
+]
+
+
+def _assert_sigmoid_bit_equal(z):
+    got, want = mlp._sigmoid_stable(z), reference_sigmoid(z)
+    nan = np.isnan(z)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def test_sigmoid_bit_equal_to_masked_form_on_edges():
+    z = np.array(SIGMOID_EDGES + [math.nan])
+    _assert_sigmoid_bit_equal(z)
+    _assert_sigmoid_bit_equal(np.tile(z, (3, 1)))
+
+
+@given(st.lists(st.floats() | st.sampled_from(SIGMOID_EDGES), min_size=1, max_size=64))
+def test_sigmoid_bit_equal_to_masked_form(values):
+    _assert_sigmoid_bit_equal(np.array(values, dtype=np.float64))
+
+
+def test_sigmoid_extreme_inputs_do_not_overflow():
+    # zero input: hidden unit 0 carries b1[0] = 1000 through to output logits
+    # +1000 (label 0) and -1000 (label 1); label 2 gets a bias of -1000
+    w1 = np.zeros((150, 151))
+    b1 = np.zeros(150)
+    b1[0] = 1000.0
+    w2 = np.zeros((100, 150))
+    w2[0, 0] = 1.0
+    b2 = np.zeros(100)
+    w3 = np.zeros((79, 100))
+    w3[0, 0] = 1.0
+    w3[1, 0] = -1.0
+    b3 = np.zeros(79)
+    b3[2] = -1000.0
+    y = forward(MlpModel(w1, b1, w2, b2, w3, b3), np.zeros(151))
+    assert np.all(np.isfinite(y))
+    assert y[0] == pytest.approx(1.0)
+    assert y[1] == pytest.approx(0.0)
+    assert y[2] == pytest.approx(0.0)
 
 
 # The thresholds the nomination cut is tested at: inside its proven range
@@ -285,6 +330,37 @@ def test_train_deterministic_bit_identical():
     m2, r2 = train(x, t, cfg)
     assert m1 == m2  # array_equal on every tensor
     assert r1.epoch_losses == r2.epoch_losses
+
+
+def _sparse_rows(n: int, seed: int):
+    rng = np.random.default_rng(seed)
+    x = (rng.random((n, 151)) < 0.2) * rng.standard_normal((n, 151))
+    t = (rng.random((n, 79)) < 0.05).astype(float)
+    return x, t
+
+
+@pytest.mark.parametrize("n", [1, 150, 511, 512, 513, 1023, 1024, 1160, 1672, 5000])
+def test_train_report_losses_equal_full_set_loss(n):
+    """The chunked report losses equal the loss over one full-set forward, bit for bit."""
+    x, t = _sparse_rows(n, n)
+    cfg = TrainConfig(learning_rate=0.5, epochs=1, batch_size=32, seed=3)
+    model, report = train(x, t, cfg)
+    initial = bce_loss(forward(init_model(cfg.seed), x), t)
+    assert report.initial_loss.hex() == initial.hex()
+    assert report.final_loss.hex() == bce_loss(forward(model, x), t).hex()
+
+
+def test_train_peak_heap_is_the_loss_terms_plus_a_bound():
+    """Only the (n, 79) loss terms grow with n; everything else fits in 8 MB."""
+    n = 20_000
+    x, t = _sparse_rows(n, 9)
+    tracemalloc.start()
+    try:
+        train(x, t, TrainConfig(learning_rate=0.5, epochs=1, batch_size=32, seed=0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * N_LABELS * 8 + 8 * 2**20
 
 
 def test_train_seed_changes_result():

@@ -62,6 +62,27 @@ class TestCosine:
             cosine(np.zeros((2, 2)), np.zeros((2, 2)))
 
 
+def test_cosine_basics():
+    a = np.array([1.0, 0.0, 0.0])
+    assert cosine(a, a) == 1.0
+    assert cosine(a, -a) == -1.0
+    assert cosine(a, np.array([0.0, 1.0, 0.0])) == 0.0
+
+
+def test_cosine_zero_norm_is_zero():
+    z = np.zeros(5)
+    a = np.ones(5)
+    assert cosine(z, a) == 0.0
+    assert cosine(a, z) == 0.0
+    assert cosine(z, z) == 0.0
+
+
+def test_cosine_clamped():
+    # parallel vectors can exceed 1.0 by rounding; must be clamped
+    a = np.full(151, 0.1)
+    assert -1.0 <= cosine(a, a * 3.0) <= 1.0
+
+
 def test_empty_db_rejected():
     with pytest.raises(MonitorError, match="empty"):
         StateTable(FingerprintDb(fingerprints={}))

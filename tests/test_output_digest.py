@@ -6,6 +6,7 @@ import importlib.util
 import numpy as np
 import pytest
 
+from chainwatch import mlp
 from chainwatch.engine import AlarmRecord, DetectionResult, SessionSummary
 from chainwatch.monitor import EventKind, MonitorEvent
 
@@ -64,3 +65,17 @@ def test_swapping_two_events_changes_digest(output_digest):
     events = _events()
     events[0], events[1] = events[1], events[0]
     assert output_digest.digest([_result(events)])[2] != base
+
+
+def test_one_ulp_in_a_loss_changes_train_digest(output_digest):
+    model = mlp.init_model(0)
+
+    def report(epoch_losses):
+        return mlp.TrainReport(initial_loss=0.75, final_loss=0.25, epoch_losses=epoch_losses)
+
+    base = output_digest.train_digest(model, report([0.5, 0.375]))
+    assert output_digest.train_digest(model, report([0.5, 0.375])) == base
+    moved = float(np.nextafter(0.375, 1.0))
+    assert output_digest.train_digest(model, report([0.5, moved])) != base
+    final_moved = dataclasses.replace(report([0.5, 0.375]), final_loss=float(np.nextafter(0.25, 0.0)))
+    assert output_digest.train_digest(model, final_moved) != base
