@@ -7,13 +7,15 @@ Runs ``engine.detect`` and ``engine.detect_naive`` over every trace of one
 corpus split (sorted by file name, a fresh state table per trace, events
 kept, the bundled embeddings, vocabularies and white-list unless given) and
 hashes every field of every ``AlarmRecord``, ``MonitorEvent`` and
-``SessionSummary`` in order.  Then runs ``mlp.train`` on the corpus's train
-split with the benchmark's round recipe (``TRAIN_CONFIG``) and hashes every
-tensor's bytes and every loss of its report.  Floats are hashed as
+``SessionSummary`` in order.  Then runs both again with events not kept, the
+path the CLI takes, and hashes the alarms and summaries alike.  Then runs
+``mlp.train`` on the corpus's train split with the benchmark's round recipe
+(``TRAIN_CONFIG``) and hashes every tensor's bytes and every loss of its
+report.  Floats are hashed as
 ``float.hex``, so two trees print the same digest only when their outputs are
-bit-identical.  One line per detection mode,
-``<mode> alarms=<n> events=<n> sha256=<hex>``, then
-``train rows=<n> sha256=<hex>``.
+bit-identical.  One line per detection mode, ``<mode> alarms=<n> events=<n>
+sha256=<hex>`` (``detect``, ``detect_naive``, ``detect_no_events``,
+``detect_naive_no_events``), then ``train rows=<n> sha256=<hex>``.
 
 It imports ``chainwatch`` from the ``src`` next to it, so a copy placed in
 another checkout digests that checkout.
@@ -90,6 +92,8 @@ def main() -> int:
     modes = {
         "detect": lambda t: engine.detect(t, encoder, whitelist, db, model, keep_events=True),
         "detect_naive": lambda t: engine.detect_naive(t, encoder, whitelist, db, keep_events=True),
+        "detect_no_events": lambda t: engine.detect(t, encoder, whitelist, db, model),
+        "detect_naive_no_events": lambda t: engine.detect_naive(t, encoder, whitelist, db),
     }
     for mode, run in modes.items():
         alarms, events, hexdigest = digest(run(t) for t in traces)

@@ -110,11 +110,12 @@ def run_detection(
 ) -> DetectionResult:
     """Run the pipeline over one trace against an existing state table.
 
+    ``candidate_fn`` returns a set; each member is one comparison.
     ``count_classifier`` is False in naive mode, where the fixed full
     candidate set involves no classifier invocation.  ``keep_events`` keeps
     every ``MonitorEvent`` in ``DetectionResult.events``, one per comparison;
-    otherwise ``events`` stays empty.  Alarms and the summary are the same
-    either way.
+    otherwise ``events`` stays empty and the state table builds only the
+    matches.  Alarms and the summary are the same either way.
     """
     if isinstance(trace, Trace):
         calls = trace.calls
@@ -140,13 +141,17 @@ def run_detection(
         candidates = candidate_fn(x)
         if not candidates:
             continue
-        step_events = table.step(candidates, x, offset, threshold=config.threshold_cosine)
+        step_events = table.step(
+            candidates, x, offset, threshold=config.threshold_cosine, keep_events=keep_events
+        )
         summary.monitor_steps += 1
-        summary.comparisons += len(step_events)
+        summary.comparisons += len(candidates)
         if keep_events:
             events.extend(step_events)
-        matched = [e for e in step_events if e.kind is not no_match]
-        summary.no_match_events += len(step_events) - len(matched)
+            matched = [e for e in step_events if e.kind is not no_match]
+        else:
+            matched = step_events
+        summary.no_match_events += len(candidates) - len(matched)
         for event in matched:
             if event.kind is alarm:
                 summary.alarms += 1

@@ -9,14 +9,18 @@ Fingerprint file grammar (newline-delimited JSON, blank lines ignored):
   lowering the fingerprint to a dataflow query.
 
 Template feature vectors are encoded once at load time, and each row's norm
-is taken then too; the monitor compares against these pre-encoded rows.
+is taken then too; the database stacks every row into one read-only matrix.
+The monitor compares against these pre-encoded rows.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -76,12 +80,30 @@ class Fingerprint:
         return len(self.templates)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FingerprintDb:
-    """All loaded fingerprints, keyed by exploit id (one fingerprint per id)."""
+    """All loaded fingerprints, keyed by exploit id (one fingerprint per id).
 
-    fingerprints: dict[int, Fingerprint]
+    ``fingerprints`` is held as a read-only copy of the mapping given, so
+    everything derived from it here, once, cannot go stale:
+
+    * ``exploit_ids``, the ids in ascending order; an exploit's *position* is
+      its index in this tuple, and ``positions`` maps id -> position;
+    * ``template_matrix``, every template row stacked in position order, read
+      only, with ``template_norms`` the rows' ``Fingerprint.template_norms``
+      and ``start_rows`` the row of each exploit's first template;
+    * ``template_norm_span``, the smallest and largest nonzero template norm
+      (``(inf, 0.0)`` when there is none, NaN when a norm is NaN).
+    """
+
+    fingerprints: Mapping[int, Fingerprint]
     capacity: int = DEFAULT_CAPACITY
+    exploit_ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    positions: Mapping[int, int] = field(init=False, repr=False, compare=False)
+    template_matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    template_norms: np.ndarray = field(init=False, repr=False, compare=False)
+    start_rows: np.ndarray = field(init=False, repr=False, compare=False)
+    template_norm_span: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for exploit_id in self.fingerprints:
@@ -89,6 +111,29 @@ class FingerprintDb:
                 raise FingerprintError(
                     f"exploit id {exploit_id} outside capacity [0, {self.capacity})"
                 )
+        ids = tuple(sorted(self.fingerprints))
+        ordered = [self.fingerprints[eid] for eid in ids]
+        lengths = [len(fp) for fp in ordered]
+        matrix = np.concatenate(
+            [fp.template_vectors for fp in ordered] or [np.empty((0, VECTOR_DIM))]
+        )
+        norms = np.array([n for fp in ordered for n in fp.template_norms], dtype=np.float64)
+        starts = np.cumsum([0] + lengths, dtype=np.intp)[:-1]
+        nonzero = norms[norms != 0.0]
+        span = (float(nonzero.min()), float(nonzero.max())) if nonzero.size else (math.inf, 0.0)
+        for arr in (matrix, norms, starts):
+            arr.setflags(write=False)
+        derived = {
+            "fingerprints": MappingProxyType(dict(self.fingerprints)),
+            "exploit_ids": ids,
+            "positions": MappingProxyType({eid: p for p, eid in enumerate(ids)}),
+            "template_matrix": matrix,
+            "template_norms": norms,
+            "start_rows": starts,
+            "template_norm_span": span,
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.fingerprints)
@@ -98,10 +143,6 @@ class FingerprintDb:
 
     def __getitem__(self, exploit_id: int) -> Fingerprint:
         return self.fingerprints[exploit_id]
-
-    @property
-    def exploit_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self.fingerprints))
 
     def cwe_index(self) -> dict[str, tuple[int, ...]]:
         """CWE id -> sorted exploit ids, for pooled per-CWE reporting."""

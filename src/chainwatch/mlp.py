@@ -165,18 +165,44 @@ def logit_cut(threshold: float) -> float:
     return math.log(threshold / (1.0 - threshold)) - 1.0
 
 
+def logit_upper_cut(threshold: float) -> float:
+    """A logit at and above which every computed probability reaches ``threshold``.
+
+    The mirror of :func:`logit_cut`: the cut is ``logit(t) + 1``.  For a
+    logit ``z >= logit(t) + 1`` the exact logistic is above ``t`` by
+
+        sigma(logit(t) + 1) - t = t (1 - t) (e - 1) / (1 + (e - 1) t),
+
+    a relative (1 - 1/e) (1 - t) > 0.63 (1 - t) of ``sigma`` itself, so the
+    computed probability would have to be off by that much to fall below
+    ``t``.  The same few-ulp errors of ``_sigmoid_stable`` and of the cut
+    (about 1e-15 and 1e-14 relative) are far below it while ``t`` lies in
+    ``[1e-12, 1 - 1e-12]``.  The computed logistic never decreases as its
+    argument grows, so reaching ``t`` at the cut covers every larger logit;
+    and in that range the cut lies below 29 in magnitude, where ``exp`` of
+    ``-|z|`` is a normal number.  Outside the range the cut is ``inf``.
+    """
+    low, high = _CUT_THRESHOLDS
+    if not low <= threshold <= high:
+        return math.inf
+    return math.log(threshold / (1.0 - threshold)) + 1.0
+
+
 def nominator(model: MlpModel, threshold: float):
     """``x -> labels whose probability from :func:`forward` is at least threshold``.
 
-    Nomination works on the logits: when the largest is below
+    Nomination works on the logits.  When the largest is below
     :func:`logit_cut`, no label can reach the threshold, so the call returns
-    the empty set without computing a single logistic.  Otherwise it applies
-    the logistic and the (inclusive) threshold to every label.  The two paths
-    give the same set on every input.
+    the empty set without computing a single logistic.  When every label at
+    or above that cut is also at or above :func:`logit_upper_cut`, those
+    labels are the set, again without a logistic.  Otherwise, with a label
+    in the band between the cuts, it applies the logistic and the
+    (inclusive) threshold to every label.  The three paths give the same set
+    on every input.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"classification threshold must lie in (0, 1), got {threshold}")
-    cut = logit_cut(threshold)
+    cut, upper_cut = logit_cut(threshold), logit_upper_cut(threshold)
 
     def nominate(x: np.ndarray) -> frozenset[int]:
         z = logits(model, x)
@@ -186,6 +212,9 @@ def nominator(model: MlpModel, threshold: float):
             )
         if z.max() < cut:
             return _NO_LABELS
+        sure = np.flatnonzero(z >= upper_cut)
+        if np.count_nonzero(z >= cut) == sure.size:
+            return frozenset(sure.tolist())
         return frozenset(np.flatnonzero(_sigmoid_stable(z) >= threshold).tolist())
 
     return nominate

@@ -8,8 +8,9 @@ Exploits outside the candidate set are left untouched, which is what makes
 classifier-driven filtering sound: filtering only ever skips comparisons, it
 never changes what a tracked candidate would do.
 
-The table holds only these cursors.  Comparisons, steps and alarms are counted
-from the returned events, in the engine's ``SessionSummary``.
+The table holds only these cursors.  A step returns the events of the
+candidates that advance or alarm, and those that do not match only when asked
+to; the engine's ``SessionSummary`` counts comparisons, steps and alarms.
 """
 
 from __future__ import annotations
@@ -61,20 +62,41 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return _similarity(float(a @ b), float(np.sqrt(a @ a)), float(np.sqrt(b @ b)))
 
 
+# The screen (see ``StateTable.step``).  Its slack, in cosine units, is far above
+# the 2 gamma_151 ~ 3.4e-14 that rounding can move a dot product by.
+SCREEN_SLACK = 1e-9
+# Call and nonzero template norms in this range keep every product, sum and
+# bound of the screen a normal number (at most 2**400 and, but for absolute
+# errors below 2**-1066, at least 2**-400), so the rounding bounds hold.
+SCREEN_NORMS = (2.0**-200, 2.0**200)
+# Candidate sets this large are screened.  Measured on the cwe79 database (327
+# rows) over 150 traces of its test split, on a shared 2-core x86-64 host: an
+# exact step cost about 7 us plus 2.6 us per candidate (26-29 us at 8, 38-42 us
+# at 12), a screened one 28-34 us whatever its size, so they break even at 9 to
+# 10 candidates.  Classifier steps on that split have at most 4 candidates
+# (1.17 on average) and never screen; naive steps have 79.
+SCREEN_MIN_CANDIDATES = 12
+
+
 class StateTable:
     """Per-exploit chain positions: the index of each exploit's next template.
 
-    Tables built over one database share it and keep separate cursors.
+    The cursors are an int array indexed by exploit position (the index of an
+    id in ``db.exploit_ids``).  Tables built over one database share it and
+    keep separate cursors.
     """
 
     def __init__(self, db: FingerprintDb):
         if len(db) == 0:
             raise MonitorError("cannot build a state table from an empty fingerprint database")
         self.db = db
-        self._next = dict.fromkeys(db.exploit_ids, 0)
+        self._cursors = np.zeros(len(db), dtype=np.intp)
+        low, high = SCREEN_NORMS
+        span_low, span_high = db.template_norm_span
+        self._screens = low <= span_low and span_high <= high
 
     def next_index(self, exploit_id: int) -> int:
-        return self._next[exploit_id]
+        return int(self._cursors[self.db.positions[exploit_id]])
 
     def step(
         self,
@@ -82,45 +104,106 @@ class StateTable:
         x: np.ndarray,
         trace_offset: int,
         threshold: float = DEFAULT_COSINE_THRESHOLD,
+        keep_events: bool = False,
     ) -> list[MonitorEvent]:
         """Compare ``x`` against the next template of every candidate exploit.
 
-        Returns one event per candidate, in ascending exploit-id order:
-        ``ADVANCED`` or ``ALARM`` when similarity clears the (inclusive)
-        threshold, ``NO_MATCH`` otherwise.  Alarming rewinds the exploit's
-        index to 0 so a repeated chain alarms again.
+        Each distinct candidate is one comparison.  A similarity at or above
+        the (inclusive) threshold is ``ADVANCED``, or ``ALARM`` on the last
+        template, which rewinds the exploit's index to 0 so a repeated chain
+        alarms again; below it is ``NO_MATCH`` and leaves the index.  Returns
+        the ``ADVANCED`` and ``ALARM`` events in ascending exploit-id order,
+        and with ``keep_events`` one event per candidate, ``NO_MATCH`` too.
+
+        Every similarity is ``_similarity(x . row, |x|, |row|)`` with one
+        ``ddot`` per pair, the call's norm taken once and the row's at load,
+        equal to ``cosine(x, row)`` bit for bit.  Without ``keep_events``, a
+        set of at least ``SCREEN_MIN_CANDIDATES`` candidates is screened first
+        by one product ``D = M @ x`` over every template row: a pair is
+        dropped, as a ``NO_MATCH``, when
+
+            D[row] < (t - eps) * |x| * |row|,       eps = SCREEN_SLACK = 1e-9,
+
+        and every other pair takes the exact path.  The screen never drops a
+        pair that matches.  Write u = 2**-53, n = 151, gamma_n = nu / (1 - nu)
+        ~ 1.7e-14, P = ||x|| ||row|| with the exact norms, and N = |x| |row|
+        with the computed ones.  The guard (the call's norm and every nonzero
+        template norm in ``SCREEN_NORMS``, so NaN and inf fail it) keeps every
+        product, sum and bound a normal number up to absolute errors far below
+        u P, so the usual bounds hold:
+
+        * both the exact ``ddot`` and ``D[row]`` are within gamma_n P of the
+          true dot product, in any summation order, since the sum of
+          ``|x_i row_i|`` is at most P (Cauchy-Schwarz); so
+          D[row] >= ddot - 2 gamma_n P, and P <= (1 + 2 gamma_n) N;
+        * the clamp to [-1, 1] is irrelevant: with t in (0, 1], the clamped
+          quotient reaches t exactly when the unclamped one does, and then
+          ddot >= t N (1 - 2u);
+        * the bound, ``(t - eps) * |x|`` times ``|row|`` in three roundings,
+          is at most (t - eps) N + 3.1u N, as |t - eps| <= 1.
+
+        So for a match D[row] - bound >= N (eps - 5.1u - 2.1 gamma_n) > 0,
+        and ``<`` fails.  Where a norm is zero the exact path gives 0.0, a
+        ``NO_MATCH``, and ``<`` fails as well: with a zero call (which also
+        fails the guard) or an all-zero template row every product is zero,
+        so ``D[row]`` and the bound are both zero.  Under the guard no NaN
+        reaches the comparison, so keeping ``D[row] >= bound`` drops exactly
+        the pairs above.  Outside the guard, or with fewer candidates, every
+        pair takes the exact path.
         """
         if not 0.0 < threshold <= 1.0:
             raise MonitorError(f"cosine threshold must lie in (0, 1], got {threshold}")
         x = np.ascontiguousarray(x, dtype=np.float64)
         if x.shape != (VECTOR_DIM,):
             raise MonitorError(f"expected feature vector of shape ({VECTOR_DIM},), got {x.shape}")
-        candidate_list = sorted(set(candidates))
-        for eid in candidate_list:
-            if eid not in self._next:
-                raise MonitorError(f"candidate exploit id {eid} is not in the state table")
+        ids = sorted(set(candidates))
+        positions = self.db.positions
+        # Every exploit, as in naive mode: positions are 0..n-1 in id order.
+        every = len(ids) == len(positions) and tuple(ids) == self.db.exploit_ids
+        if every:
+            places = range(len(ids))
+        else:
+            try:
+                places = [positions[eid] for eid in ids]
+            except KeyError as exc:
+                raise MonitorError(
+                    f"candidate exploit id {exc.args[0]} is not in the state table"
+                ) from None
 
-        # The call's norm is taken once per step and each template's at load, so a
-        # comparison is one dot product; the values equal cosine(x, row) bit for bit.
         norm = float(np.sqrt(x @ x))
+        cursors = self._cursors
+        low, high = SCREEN_NORMS
+        pairs = zip(ids, places)
+        if (
+            not keep_events
+            and len(ids) >= SCREEN_MIN_CANDIDATES
+            and self._screens
+            and low <= norm <= high
+        ):
+            db = self.db
+            where = slice(None) if every else np.array(places, dtype=np.intp)
+            rows = db.start_rows[where] + cursors[where]
+            bound = db.template_norms[rows] * ((threshold - SCREEN_SLACK) * norm)
+            dots = db.template_matrix @ x
+            kept = np.flatnonzero(dots[rows] >= bound).tolist()
+            pairs = [(ids[j], places[j]) for j in kept]
+
         dot = x.dot
         fingerprints = self.db.fingerprints
-        cursors = self._next
         advanced, alarm, no_match = EventKind.ADVANCED, EventKind.ALARM, EventKind.NO_MATCH
         events = []
         append = events.append
-        for eid in candidate_list:
+        for eid, place in pairs:
             fp = fingerprints[eid]
-            i = cursors[eid]
+            i = int(cursors[place])
             sim = _similarity(float(dot(fp.template_rows[i])), norm, fp.template_norms[i])
             if sim >= threshold:
                 if i == len(fp) - 1:
-                    cursors[eid] = 0
-                    kind = alarm
+                    cursors[place] = 0
+                    append(MonitorEvent(alarm, eid, fp.cwe_id, trace_offset, sim))
                 else:
-                    cursors[eid] = i + 1
-                    kind = advanced
-            else:
-                kind = no_match
-            append(MonitorEvent(kind, eid, fp.cwe_id, trace_offset, sim))
+                    cursors[place] = i + 1
+                    append(MonitorEvent(advanced, eid, fp.cwe_id, trace_offset, sim))
+            elif keep_events:
+                append(MonitorEvent(no_match, eid, fp.cwe_id, trace_offset, sim))
         return events

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -146,6 +149,66 @@ def test_template_vectors_read_only(sql_db):
         fp.template_rows[0][0] += 1.0
     with pytest.raises(ValueError, match="read-only"):
         fp.template_vectors *= 2.0
+
+
+def test_db_cannot_go_stale(encoder, sql_db):
+    """The mapping is a read-only copy and the db is frozen, so what is derived
+    from it at construction stays true."""
+    given = dict(sql_db.fingerprints)
+    db = FingerprintDb(fingerprints=given)
+    given[5] = sql_db[0]
+    assert 5 not in db and db.exploit_ids == (0,)
+    with pytest.raises(TypeError):
+        db.fingerprints[5] = sql_db[0]
+    with pytest.raises(TypeError):
+        del db.fingerprints[0]
+    with pytest.raises(TypeError):
+        db.positions[0] = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        db.fingerprints = {}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        db.exploit_ids = (0, 1)
+    for arr in (db.template_matrix, db.template_norms, db.start_rows):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    assert db.exploit_ids is db.exploit_ids  # computed once
+
+
+def test_db_stacks_templates_in_id_order(encoder):
+    db = load_fingerprints(FIXTURES / "cwe79.fp", encoder)
+    assert db.exploit_ids == tuple(sorted(db.fingerprints))
+    assert db.template_matrix.shape == (327, 151)
+    assert db.template_matrix.flags.c_contiguous
+    for place, eid in enumerate(db.exploit_ids):
+        fp = db[eid]
+        assert db.positions[eid] == place
+        start = db.start_rows[place]
+        stop = start + len(fp)
+        np.testing.assert_array_equal(db.template_matrix[start:stop], fp.template_vectors)
+        assert [n.hex() for n in db.template_norms[start:stop]] == [
+            n.hex() for n in fp.template_norms
+        ]
+    norms = [n for eid in db.exploit_ids for n in db[eid].template_norms]
+    assert db.template_norm_span == (min(norms), max(norms))
+
+
+def test_db_norm_span_edges(sql_db):
+    fp = sql_db[0]
+
+    def with_rows(vectors):
+        return FingerprintDb(fingerprints={0: dataclasses.replace(fp, template_vectors=vectors)})
+
+    zero = np.zeros_like(fp.template_vectors)
+    assert with_rows(zero).template_norm_span == (math.inf, 0.0)
+    some_zero = fp.template_vectors.copy()
+    some_zero[1] = 0.0
+    kept = [fp.template_norms[0], fp.template_norms[2]]
+    assert with_rows(some_zero).template_norm_span == (min(kept), max(kept))
+    nan = fp.template_vectors.copy()
+    nan[1, 0] = np.nan
+    assert all(math.isnan(v) for v in with_rows(nan).template_norm_span)
+    empty = FingerprintDb(fingerprints={})
+    assert empty.template_matrix.shape == (0, 151) and empty.start_rows.size == 0
 
 
 class TestWhiteList:

@@ -29,6 +29,7 @@ from chainwatch.mlp import (
     init_model,
     load_model,
     logit_cut,
+    logit_upper_cut,
     loss_and_grads,
     nominator,
     save_model,
@@ -238,11 +239,35 @@ def test_nomination_exact_at_the_cut(threshold, ulps):
     assert nominator(m, threshold)(x) == _thresholded_forward(m, x, threshold)
 
 
+@given(
+    threshold=st.sampled_from(CUT_THRESHOLDS + FULL_PATH_THRESHOLDS),
+    near_upper=st.lists(st.integers(-6, 6), max_size=3),
+    near_lower=st.lists(st.integers(-6, 6), max_size=N_LABELS - 3),
+)
+def test_nomination_exact_at_the_upper_cut(threshold, near_upper, near_lower):
+    """A few logits within a few ulps of logit(t) + 1, the rest near logit(t) - 1.
+
+    With at most three labels near the upper cut, all of them at or above it
+    (the path without a logistic) is a common draw, and so is one below it.
+    """
+    logit = math.log(threshold / (1.0 - threshold))
+    upper, lower = logit + 1.0, logit - 1.0
+    b3 = np.full(N_LABELS, lower - 8 * math.ulp(lower))
+    b3[: len(near_upper)] = [upper + k * math.ulp(upper) for k in near_upper]
+    b3[N_LABELS - len(near_lower) :] = [lower + k * math.ulp(lower) for k in near_lower]
+    m = _logits_model(b3)
+    x = np.zeros(151)
+    np.testing.assert_array_equal(mlp.logits(m, x), b3)
+    assert nominator(m, threshold)(x) == _thresholded_forward(m, x, threshold)
+
+
 def test_cut_range():
     for t in CUT_THRESHOLDS:
         assert logit_cut(t) == math.log(t / (1.0 - t)) - 1.0
+        assert logit_upper_cut(t) == math.log(t / (1.0 - t)) + 1.0
     for t in FULL_PATH_THRESHOLDS:
         assert logit_cut(t) == -math.inf
+        assert logit_upper_cut(t) == math.inf
 
 
 @pytest.mark.parametrize("threshold", CUT_THRESHOLDS + FULL_PATH_THRESHOLDS)
@@ -257,6 +282,30 @@ def test_logistic_skipped_only_below_a_proven_cut(threshold, monkeypatch):
     got = nominate(x)
     assert len(calls) == (1 if threshold in FULL_PATH_THRESHOLDS else 0)
     assert got == _thresholded_forward(_logits_model(below), x, threshold)
+
+
+@pytest.mark.parametrize("threshold", CUT_THRESHOLDS + FULL_PATH_THRESHOLDS)
+def test_logistic_skipped_only_outside_the_band(threshold, monkeypatch):
+    """Labels at or above logit(t) + 1, the rest below logit(t) - 1: no logistic.
+    One label an ulp below logit(t) + 1 sits in the band and takes the full path."""
+    calls = []
+    sigmoid = mlp._sigmoid_stable
+    monkeypatch.setattr(mlp, "_sigmoid_stable", lambda z: calls.append(z) or sigmoid(z))
+    logit = math.log(threshold / (1.0 - threshold))
+    upper, lower = logit + 1.0, logit - 1.0
+    x = np.zeros(151)
+    full_path = threshold in FULL_PATH_THRESHOLDS
+    for in_band, expect_calls in ((False, 1 if full_path else 0), (True, 1)):
+        b3 = np.full(N_LABELS, lower - 2 * math.ulp(lower))
+        b3[[4, 9, 30]] = [upper, upper + math.ulp(upper), upper + 1.0]
+        if in_band:
+            b3[9] = upper - math.ulp(upper)
+        calls.clear()
+        got = nominator(_logits_model(b3), threshold)(x)
+        assert len(calls) == expect_calls
+        assert got == _thresholded_forward(_logits_model(b3), x, threshold)
+        if not full_path:
+            assert {4, 30} <= got
 
 
 def test_bce_loss_analytic_values():

@@ -13,17 +13,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainwatch import monitor
 from chainwatch.encoder import VECTOR_DIM
 from chainwatch.monitor import (
     DEFAULT_COSINE_THRESHOLD,
+    SCREEN_MIN_CANDIDATES,
+    SCREEN_NORMS,
     EventKind,
     MonitorError,
     StateTable,
     cosine,
 )
-from chainwatch.fingerprints import Fingerprint, FingerprintDb
+from chainwatch.fingerprints import Fingerprint, FingerprintDb, load_fingerprints
 from chainwatch.synthgen import mixed_trace
 
+from .conftest import FIXTURES
 from .oracles import NaiveChainMatcher, reference_step
 
 
@@ -124,7 +128,7 @@ def test_repeated_chain_alarms_again(sql_db):
 def test_no_match_leaves_state(sql_db):
     table = StateTable(sql_db)
     vecs = sql_db[0].template_vectors
-    events = table.step([0], vecs[2], trace_offset=0)  # sink first: wrong order
+    events = table.step([0], vecs[2], trace_offset=0, keep_events=True)  # sink first: wrong order
     assert events[0].kind == EventKind.NO_MATCH
     assert table.next_index(0) == 0
 
@@ -134,7 +138,7 @@ def test_out_of_order_chain_never_alarms(sql_db):
     vecs = sql_db[0].template_vectors
     events = []
     for off, v in enumerate([vecs[2], vecs[1], vecs[0]]):
-        events += table.step([0], v, off)
+        events += table.step([0], v, off, keep_events=True)
     assert len(events) == 3
     assert _alarms(events) == 0
 
@@ -152,7 +156,7 @@ def test_non_candidates_untouched(small_db, encoder, small_world):
 def test_events_sorted_and_one_per_candidate(small_db, encoder):
     table = StateTable(small_db)
     x = encoder.encode(small_db[3].templates[0])
-    events = table.step([5, 0, 3, 1], x, 7)
+    events = table.step([5, 0, 3, 1], x, 7, keep_events=True)
     assert [e.exploit_id for e in events] == [0, 1, 3, 5]
     assert all(e.trace_offset == 7 for e in events)
 
@@ -160,7 +164,7 @@ def test_events_sorted_and_one_per_candidate(small_db, encoder):
 def test_duplicate_candidates_collapse(small_db, encoder):
     table = StateTable(small_db)
     x = encoder.encode(small_db[0].templates[0])
-    events = table.step([0, 0, 0], x, 0)
+    events = table.step([0, 0, 0], x, 0, keep_events=True)
     assert len(events) == 1
 
 
@@ -294,7 +298,7 @@ def step_db(small_db):
 
 def _step_both(table, cursors, candidates, x, offset, threshold):
     """Step the table and the reference alike; events (similarity to the bit) and cursors agree."""
-    got = table.step(candidates, x, offset, threshold=threshold)
+    got = table.step(candidates, x, offset, threshold=threshold, keep_events=True)
     want = reference_step(table.db, cursors, candidates, x, offset, threshold)
     assert [
         (e.kind.name, e.exploit_id, e.cwe_id, e.trace_offset, e.similarity.hex()) for e in got
@@ -303,8 +307,12 @@ def _step_both(table, cursors, candidates, x, offset, threshold):
     return got
 
 
-def _step_args(db, cursors):
-    """One (candidates, x, threshold) draw; x is often a candidate's next template."""
+def _step_args(db, cursors, candidates=None):
+    """One (candidates, x, threshold) draw; x is often a candidate's next template.
+
+    ``candidates`` is a strategy for the candidate list; by default up to
+    twice as many ids as the database holds, duplicates included.
+    """
     ids = db.exploit_ids
     rows = [row for eid in ids for row in db[eid].template_vectors]
     upcoming = [db[eid].template_vectors[cursors[eid]] for eid in ids]
@@ -322,7 +330,8 @@ def _step_args(db, cursors):
         ),
         st.builds(lambda seed: np.random.default_rng(seed).standard_normal(VECTOR_DIM), seeds),
     )
-    candidates = st.lists(st.sampled_from(ids), max_size=2 * len(ids))  # duplicates included
+    if candidates is None:
+        candidates = st.lists(st.sampled_from(ids), max_size=2 * len(ids))
     thresholds = st.sampled_from(
         [1.0, float(np.nextafter(0.9, 1.0)), DEFAULT_COSINE_THRESHOLD, 0.5]
     )
@@ -366,3 +375,146 @@ def test_step_clamps_and_zero_norms_as_reference(step_db):
                 step([eid], x, offset, threshold=1.0)
                 offset += 1
     assert clamped > 0
+
+
+WIDE_ZERO_ROW_ID = 79
+
+
+@pytest.fixture(scope="module")
+def wide_db(encoder, step_db):
+    """cwe79.fp plus step_db's zero-row exploit as exploit 79: 80 exploits, so
+    candidate sets fall on both sides of ``SCREEN_MIN_CANDIDATES``."""
+    cwe79 = load_fingerprints(FIXTURES / "cwe79.fp", encoder)
+    zero = step_db[ZERO_ROW_ID]
+    moved = Fingerprint(
+        exploit_id=WIDE_ZERO_ROW_ID,
+        cwe_id=zero.cwe_id,
+        label=zero.label,
+        templates=zero.templates,
+        roles=zero.roles,
+        template_vectors=zero.template_vectors,
+    )
+    db = FingerprintDb(
+        fingerprints={**cwe79.fingerprints, WIDE_ZERO_ROW_ID: moved},
+        capacity=WIDE_ZERO_ROW_ID + 1,
+    )
+    assert len(db) > SCREEN_MIN_CANDIDATES
+    return db
+
+
+def _step_compact(table, cursors, candidates, x, offset, threshold):
+    """Step the table without events kept: the reference's matches, to the bit."""
+    got = table.step(candidates, x, offset, threshold=threshold)
+    return _assert_matches(got, table, cursors, candidates, x, offset, threshold)
+
+
+def _assert_matches(got, table, cursors, candidates, x, offset, threshold):
+    want = reference_step(table.db, cursors, candidates, x, offset, threshold)
+    matches = [(k, eid, cwe, off, sim.hex()) for k, eid, cwe, off, sim in want if k != "NO_MATCH"]
+    assert [
+        (e.kind.name, e.exploit_id, e.cwe_id, e.trace_offset, e.similarity.hex()) for e in got
+    ] == matches
+    assert {eid: table.next_index(eid) for eid in table.db.exploit_ids} == cursors
+    return got
+
+
+def test_compact_step_is_the_references_matches(wide_db):
+    """With events not kept, the screened and the exact path return exactly the
+    reference's ADVANCED and ALARM events, and move the cursors alike."""
+    ids = wide_db.exploit_ids
+    candidates = st.one_of(
+        st.lists(st.sampled_from(ids), max_size=SCREEN_MIN_CANDIDATES - 1),
+        st.lists(st.sampled_from(ids), min_size=SCREEN_MIN_CANDIDATES, max_size=2 * len(ids)),
+        st.just(list(ids)),
+    )
+    screened = set()
+
+    @settings(deadline=None, max_examples=100)
+    @given(data=st.data())
+    def steps(data):
+        table = StateTable(wide_db)
+        cursors = dict.fromkeys(ids, 0)
+        for offset in range(data.draw(st.integers(1, 20))):
+            cands, x, threshold = data.draw(_step_args(wide_db, cursors, candidates))
+            screened.add(len(set(cands)) >= SCREEN_MIN_CANDIDATES)
+            _step_compact(table, cursors, cands, x, offset, threshold)
+
+    steps()
+    assert screened == {False, True}
+
+
+def test_screen_keeps_every_match_at_threshold_one(wide_db):
+    """Scaled copies of every template, every exploit a candidate, threshold 1.0:
+    the quotient lands on, above and just below 1.0, where a screen without its
+    slack would drop pairs the exact path matches."""
+    for c in (1.0, 3.0, 0.1, 7.0, 1e3):
+        table = StateTable(wide_db)
+        cursors = dict.fromkeys(wide_db.exploit_ids, 0)
+        offset = 0
+        for eid in wide_db.exploit_ids:
+            for row in wide_db[eid].template_vectors:
+                _step_compact(table, cursors, wide_db.exploit_ids, c * row, offset, 1.0)
+                offset += 1
+
+
+@pytest.fixture
+def exact_pairs(monkeypatch):
+    """The (norm of x, norm of row) of every pair that took the exact path."""
+    pairs = []
+    similarity = monitor._similarity
+
+    def spy(dot, norm_a, norm_b):
+        pairs.append((norm_a, norm_b))
+        return similarity(dot, norm_a, norm_b)
+
+    monkeypatch.setattr(monitor, "_similarity", spy)
+    return pairs
+
+
+def test_screen_edges_take_the_exact_path(wide_db, exact_pairs):
+    """A zero call, a non-finite call and a call outside ``SCREEN_NORMS`` compare
+    every candidate exactly; a zero template row survives the screen."""
+    ids = wide_db.exploit_ids
+    low, high = SCREEN_NORMS
+    first = wide_db[WIDE_ZERO_ROW_ID].template_vectors[0]
+    table = StateTable(wide_db)
+    cursors = dict.fromkeys(ids, 0)
+
+    def step(x, offset, candidates=ids):
+        exact_pairs.clear()
+        got = table.step(candidates, x, offset)
+        mine = list(exact_pairs)  # the reference's cosine() calls go through the spy too
+        _assert_matches(got, table, cursors, candidates, x, offset, DEFAULT_COSINE_THRESHOLD)
+        exact_pairs[:] = mine
+        return got
+
+    # Inside the guard the screen runs: only pairs that can match are exact.
+    assert [e.exploit_id for e in step(first, 0)] == [WIDE_ZERO_ROW_ID]
+    assert 1 <= len(exact_pairs) < SCREEN_MIN_CANDIDATES
+    # The zero-row exploit now waits on its zero row: that pair is never dropped.
+    assert step(first, 1) == []
+    assert (float(np.sqrt(first @ first)), 0.0) in exact_pairs
+    assert len(exact_pairs) < SCREEN_MIN_CANDIDATES
+
+    # Outside the guard every candidate is exact, and the matches still equal the reference.
+    # A zero, a NaN and a partly infinite call, then calls of norm below and above the range.
+    edges = [(0.0, 5), (np.nan, 5), (np.inf, 5), (2.0**-210, 5), (2.0**210, 6)]
+    for offset, (scale, eid) in enumerate(edges, start=2):
+        with np.errstate(invalid="ignore"):
+            matched = step(scale * wide_db[eid].template_vectors[table.next_index(eid)], offset)
+        assert len(exact_pairs) == len(ids)
+        assert not low <= exact_pairs[0][0] <= high
+        if np.isfinite(scale) and scale != 0.0:
+            assert eid in [e.exploit_id for e in matched]
+
+    # Fewer candidates than the screen's minimum: every one is exact.
+    some = ids[:SCREEN_MIN_CANDIDATES - 1]
+    step(wide_db[1].template_vectors[0], 7, some)
+    assert len(exact_pairs) == len(some)
+
+
+def test_kept_events_compare_every_pair_exactly(wide_db, exact_pairs):
+    table = StateTable(wide_db)
+    events = table.step(wide_db.exploit_ids, wide_db[5].template_vectors[0], 0, keep_events=True)
+    assert len(events) == len(exact_pairs) == len(wide_db)
+    assert [e.exploit_id for e in events if e.kind is not EventKind.NO_MATCH] == [5]
