@@ -8,6 +8,8 @@ Outputs (under src/chainwatch/data/):
 * embeddings/synonym_fixtures.json - synonym / unrelated token pairs
 * fixtures/synth20.{fp,sdg}, fixtures/synth20_benign.jsonl - 20-exploit world
 * fixtures/cwe79.{fp,sdg},  fixtures/cwe79_benign.jsonl  - 79-exploit world
+
+The two worlds come from the test suite's generator, ``tests/synthgen.py``.
 """
 
 import json
@@ -18,9 +20,10 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT))  # the world generator lives with the tests
 
-from chainwatch import synthgen
 from chainwatch.encoder import FeatureEncoder
+from tests import synthgen
 
 DATA = ROOT / "src" / "chainwatch" / "data"
 

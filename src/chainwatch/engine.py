@@ -110,6 +110,8 @@ def run_detection(
 ) -> DetectionResult:
     """Run the pipeline over one trace against an existing state table.
 
+    ``trace`` is iterated once, a call at a time, so a generator of calls is
+    never held whole.
     ``candidate_fn`` returns a set; each member is one comparison.
     ``count_classifier`` is False in naive mode, where the fixed full
     candidate set involves no classifier invocation.  ``keep_events`` keeps
@@ -117,19 +119,14 @@ def run_detection(
     otherwise ``events`` stays empty and the state table builds only the
     matches.  Alarms and the summary are the same either way.
     """
-    if isinstance(trace, Trace):
-        calls = trace.calls
-        tid = trace.source_id
-    else:
-        calls = list(trace)
-        tid = "<calls>"
+    tid = trace.source_id if isinstance(trace, Trace) else "<calls>"
 
     summary = SessionSummary(trace_id=tid)
     alarms: list[AlarmRecord] = []
     events: list[MonitorEvent] = []
     alarm, no_match = EventKind.ALARM, EventKind.NO_MATCH
 
-    for offset, call in enumerate(calls):
+    for offset, call in enumerate(trace):
         summary.total_calls += 1
         if call.api_name in whitelist:
             summary.whitelisted_calls += 1

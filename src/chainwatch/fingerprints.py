@@ -25,7 +25,7 @@ from typing import Mapping
 import numpy as np
 
 from .encoder import VECTOR_DIM, FeatureEncoder
-from .trace import InstructionCall, TraceError, parse_trace_record
+from .trace import InstructionCall, TraceError, call_from_record
 
 DEFAULT_CAPACITY = 79
 
@@ -222,7 +222,7 @@ def load_fingerprints(
         if role is not None and role not in _ROLES:
             raise FingerprintError(f"{where}: role must be one of {_ROLES}, got {role!r}")
         try:
-            call = parse_trace_record(json.dumps(obj), encoder.vocabs)
+            call = call_from_record(obj, encoder.vocabs)
         except TraceError as exc:
             raise FingerprintError(f"{where}: bad template: {exc}") from exc
         current["templates"].append(call)
@@ -230,16 +230,6 @@ def load_fingerprints(
 
     finish(current)
     return FingerprintDb(fingerprints=fingerprints, capacity=capacity)
-
-
-def validate_encoding(db: FingerprintDb, encoder: FeatureEncoder) -> None:
-    """Re-encode every template and compare against the stored vectors."""
-    for fp in db.fingerprints.values():
-        fresh = np.stack([encoder.encode(c) for c in fp.templates])
-        if not np.array_equal(fresh, fp.template_vectors):
-            raise FingerprintError(
-                f"exploit {fp.exploit_id}: stored template vectors disagree with encoder"
-            )
 
 
 class WhiteList:

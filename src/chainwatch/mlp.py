@@ -77,11 +77,6 @@ class MlpModel:
     def param_count(self) -> int:
         return sum(arr.size for _, arr in self.tensors())
 
-    def copy(self) -> "MlpModel":
-        return MlpModel(
-            *(getattr(self, name).copy() for name, _ in _SHAPES), seed=self.seed
-        )
-
 
 def init_model(seed: int = 0) -> MlpModel:
     """Seeded init: weights uniform in +-sqrt(6/(fan_in+fan_out)), biases zero."""
@@ -343,46 +338,6 @@ def train(x: np.ndarray, t: np.ndarray, config: TrainConfig) -> tuple[MlpModel, 
         epoch_losses.append(float(np.mean(batch_losses)))
     final_loss = _full_set_loss(model, x, t)
     return model, TrainReport(initial_loss, final_loss, epoch_losses)
-
-
-def grad_check(
-    model: MlpModel,
-    x: np.ndarray,
-    t: np.ndarray,
-    eps: float = 1e-5,
-    samples_per_tensor: int = 20,
-    seed: int = 0,
-    grad_fn=None,
-) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    Samples ``samples_per_tensor`` coordinates from each of the six parameter
-    tensors (120 total by default).  Relative error uses a 1e-6 floor so that
-    coordinates with vanishing true gradient do not amplify round-off noise.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    t = np.atleast_2d(np.asarray(t, dtype=np.float64))
-    if grad_fn is None:
-        grad_fn = lambda m: loss_and_grads(m, x, t)[1]
-    grads = grad_fn(model)
-    rng = np.random.default_rng(seed)
-    work = model.copy()
-    worst = 0.0
-    for name, arr in work.tensors():
-        flat = arr.reshape(-1)
-        count = min(samples_per_tensor, flat.size)
-        for j in rng.choice(flat.size, size=count, replace=False):
-            orig = flat[j]
-            flat[j] = orig + eps
-            loss_plus = bce_loss(forward(work, x), t)
-            flat[j] = orig - eps
-            loss_minus = bce_loss(forward(work, x), t)
-            flat[j] = orig
-            numeric = (loss_plus - loss_minus) / (2.0 * eps)
-            analytic = grads[name].reshape(-1)[j]
-            err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6)
-            worst = max(worst, err)
-    return worst
 
 
 def save_model(model: MlpModel, path: str | Path) -> None:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .fingerprints import Fingerprint
-from .trace import InstructionCall, TraceError, parse_trace_record
+from .trace import InstructionCall, TraceError, call_from_record
 from .vocab import Vocabularies
 
 NODE_KINDS = ("statement", "entry", "actual_in", "formal_in", "formal_out", "actual_out")
@@ -112,7 +112,7 @@ def load_sdg(path: str | Path, vocabs: Vocabularies) -> Sdg:
                 if not isinstance(obj["call"], dict):
                     raise SdgError(f"{where}: node call payload must be an object")
                 try:
-                    call = parse_trace_record(json.dumps(obj["call"]), vocabs)
+                    call = call_from_record(obj["call"], vocabs)
                 except TraceError as exc:
                     raise SdgError(f"{where}: bad call payload: {exc}") from exc
             unknown = set(obj) - {"node", "kind", "call"}

@@ -105,6 +105,15 @@ def parse_trace_record(line: str, vocabs: Vocabularies) -> InstructionCall:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise MalformedRecord(f"invalid JSON: {exc}") from exc
+    return call_from_record(obj, vocabs)
+
+
+def call_from_record(obj: object, vocabs: Vocabularies) -> InstructionCall:
+    """Validate one decoded record against the vocabularies and build its call.
+
+    For readers that have already decoded the JSON, such as the fingerprint
+    and graph loaders, which carry records inside their own lines.
+    """
     if not isinstance(obj, dict):
         raise MalformedRecord("record must be a JSON object")
     missing = [k for k in RECORD_FIELDS if k not in obj]
@@ -178,8 +187,3 @@ def read_trace(
             exc.args = (f"{source_id} line {lineno}: {exc.args[0]}",)
             raise
     return Trace(source_id=source_id, calls=calls)
-
-
-def write_trace(trace: Trace, stream: IO[str]) -> None:
-    for call in trace.calls:
-        stream.write(serialize_trace_record(call) + "\n")

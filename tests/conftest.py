@@ -52,7 +52,7 @@ def whitelist():
 
 @pytest.fixture(scope="session")
 def small_world(encoder):
-    from chainwatch.synthgen import make_world
+    from .synthgen import make_world
 
     return make_world(n_exploits=6, seed=424, encoder=encoder, benign_count=12)
 

@@ -6,7 +6,9 @@ encoded vectors, the graph oracle enumerates simple paths with networkx, the
 reference encoder concatenates the documented blocks one by one, and the
 scalar helpers use plain Python arithmetic.  The reference monitor step shares
 only ``cosine()`` with the program, so it checks the step's bookkeeping and
-its precomputed norms, not the cosine formula itself.
+its precomputed norms, not the cosine formula itself.  The gradient check
+takes central differences of the program's own loss, so it checks the
+analytic backward pass against the forward one.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 
 from chainwatch.sdg import FLOW_LABELS, Sdg, VulnQuery, template_matches
 from chainwatch.encoder import tokenize_api_name
+from chainwatch.mlp import MlpModel, bce_loss, forward, loss_and_grads
 from chainwatch.monitor import cosine
 from chainwatch.trace import InstructionCall
 from chainwatch.vocab import CATEGORIES, SCOPES
@@ -200,3 +203,43 @@ def reference_encode(call: InstructionCall, table, vocabs) -> np.ndarray:
         counts(call.inputs),
         counts(call.outputs),
     ])
+
+
+def grad_check(
+    model: MlpModel,
+    x: np.ndarray,
+    t: np.ndarray,
+    eps: float = 1e-5,
+    samples_per_tensor: int = 20,
+    seed: int = 0,
+    grad_fn=None,
+) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    Samples ``samples_per_tensor`` coordinates from each of the six parameter
+    tensors (120 total by default).  Relative error uses a 1e-6 floor so that
+    coordinates with vanishing true gradient do not amplify round-off noise.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    t = np.atleast_2d(np.asarray(t, dtype=np.float64))
+    if grad_fn is None:
+        grad_fn = lambda m: loss_and_grads(m, x, t)[1]
+    grads = grad_fn(model)
+    rng = np.random.default_rng(seed)
+    work = MlpModel(*(arr.copy() for _, arr in model.tensors()), seed=model.seed)
+    worst = 0.0
+    for name, arr in work.tensors():
+        flat = arr.reshape(-1)
+        count = min(samples_per_tensor, flat.size)
+        for j in rng.choice(flat.size, size=count, replace=False):
+            orig = flat[j]
+            flat[j] = orig + eps
+            loss_plus = bce_loss(forward(work, x), t)
+            flat[j] = orig - eps
+            loss_minus = bce_loss(forward(work, x), t)
+            flat[j] = orig
+            numeric = (loss_plus - loss_minus) / (2.0 * eps)
+            analytic = grads[name].reshape(-1)[j]
+            err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6)
+            worst = max(worst, err)
+    return worst

@@ -21,10 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoder import FeatureEncoder
-from .fingerprints import Fingerprint, FingerprintDb
-from .trace import InstructionCall, serialize_trace_record
-from .vocab import CATEGORIES, Vocabularies
+from chainwatch.encoder import FeatureEncoder
+from chainwatch.fingerprints import Fingerprint, FingerprintDb
+from chainwatch.trace import InstructionCall, serialize_trace_record
+from chainwatch.vocab import CATEGORIES, Vocabularies
 
 _NAME_PREFIXES = (
     "read", "load", "fetch", "parse", "build", "format", "merge", "exec",

@@ -36,12 +36,12 @@ from chainwatch.engine import (
 from chainwatch.bench import run_bench
 from chainwatch.fingerprints import WhiteList, load_fingerprints
 from chainwatch.monitor import StateTable
-from chainwatch.synthgen import make_world, mixed_trace
 from chainwatch.trace import InstructionCall, read_trace
 from chainwatch.vocab import CATEGORIES
 
 from .conftest import ACCEPTANCE_LINES, FIXTURES
-from .oracles import NaiveChainMatcher, brute_force_flows, scalar_metrics
+from .oracles import NaiveChainMatcher, brute_force_flows, grad_check, scalar_metrics
+from .synthgen import make_world, mixed_trace
 from .test_sdg import _call, _random_graph
 
 
@@ -144,7 +144,7 @@ def test_criterion_2_gradient_correctness():
         rng = np.random.default_rng(9000 + i)
         x = rng.standard_normal((3, VECTOR_DIM))
         t = (rng.random((3, mlp.N_LABELS)) < 0.3).astype(float)
-        worst = max(worst, mlp.grad_check(model, x, t, eps=1e-5, seed=i))
+        worst = max(worst, grad_check(model, x, t, eps=1e-5, seed=i))
 
     # A deliberately corrupted gradient must land far past the bar.
     model = mlp.init_model(seed=55)
@@ -157,7 +157,7 @@ def test_criterion_2_gradient_correctness():
         grads["w3"] = -grads["w3"]
         return grads
 
-    flip_err = mlp.grad_check(model, x, t, eps=1e-5, seed=0, grad_fn=flipped)
+    flip_err = grad_check(model, x, t, eps=1e-5, seed=0, grad_fn=flipped)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-4 and flip_err > 1e-1 and elapsed < 10.0
     _record(

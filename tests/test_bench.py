@@ -5,8 +5,9 @@ from chainwatch.bench import LatencyStats, run_bench
 from chainwatch.engine import detect, detect_naive
 from chainwatch.fingerprints import WhiteList
 from chainwatch.mlp import init_model
-from chainwatch.synthgen import mixed_trace
 from chainwatch.trace import Trace
+
+from .synthgen import mixed_trace
 
 
 def test_latency_stats_from_ns():

@@ -526,6 +526,25 @@ def test_module_entry_point():
         assert sub in out.stdout
 
 
+def test_cli_loads_every_package_module():
+    """The package ships only what the CLI runs: importing ``chainwatch.cli``
+    loads every module under ``src/chainwatch`` but the ``-m`` entry point."""
+    shipped = sorted(
+        f"chainwatch.{p.stem}"
+        for p in (ROOT / "src" / "chainwatch").glob("*.py")
+        if p.stem not in ("__init__", "__main__")
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, chainwatch.cli; print(*sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert out.returncode == 0, out.stderr
+    loaded = set(out.stdout.split())
+    assert [m for m in shipped if m not in loaded] == []
+
+
 def test_console_script_target_is_main():
     """The console script an install would create binds to cli.main."""
     tomllib = pytest.importorskip("tomllib")

@@ -16,8 +16,9 @@ from chainwatch.corpus import (
     read_manifest,
     trigger_index,
 )
-from chainwatch.synthgen import make_world
 from chainwatch.trace import InstructionCall
+
+from .synthgen import make_world
 
 
 def test_trigger_index_sql(sql_db):

@@ -1,5 +1,8 @@
 """Pipeline-order and bookkeeping behavior of the streaming engine."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,13 +15,14 @@ from chainwatch.engine import (
     full_candidates,
     run_detection,
 )
-from chainwatch.fingerprints import WhiteList
+from chainwatch.fingerprints import WhiteList, load_fingerprints
 from chainwatch.mlp import init_model
 from chainwatch.monitor import StateTable
-from chainwatch.synthgen import mixed_trace
 from chainwatch.trace import Trace
 
+from .conftest import DATA_DIR, FIXTURES
 from .oracles import NaiveChainMatcher
+from .synthgen import mixed_trace
 
 
 def test_config_validation():
@@ -223,3 +227,47 @@ def test_accepts_bare_call_iterable(sql_db, encoder):
     result = detect_naive(list(sql_db[0].templates), encoder, WhiteList(), sql_db)
     assert result.summary.trace_id == "<calls>"
     assert len(result.alarms) == 1
+
+
+def _novel_calls(n, base, words):
+    """``n`` calls like ``base``, each named from three embedding-table words.
+
+    No two calls share a name, and every name token is in the table, so the
+    bounded ``hash_embed`` cache stays out of the measurement.
+    """
+    k = len(words)
+    for i in range(n):
+        a, b, c = words[i % k], words[i // k % k], words[i // (k * k) % k]
+        yield dataclasses.replace(base, api_name=a + b.title() + c.title())
+
+
+@pytest.mark.parametrize("naive", [False, True], ids=["detect", "detect_naive"])
+def test_heap_stays_flat_over_a_call_stream(naive, encoder):
+    """Detection holds no per-call state: a generator twice as long peaks no
+    higher, give or take 64 KB."""
+    db = load_fingerprints(FIXTURES / "cwe79.fp", encoder)
+    model = init_model(seed=0)
+    table_file = DATA_DIR / "embeddings" / "demo10d.txt"
+    words = [line.split()[0] for line in table_file.read_text().splitlines() if line.strip()]
+    words = [w for w in words if w.isalpha() and w.islower()]
+    base = db[0].templates[0]
+
+    def run(n):
+        calls = _novel_calls(n, base, words)
+        if naive:
+            return detect_naive(calls, encoder, WhiteList(), db)
+        return detect(calls, encoder, WhiteList(), db, model)
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            result = run(n)
+            grown = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert result.summary.total_calls == result.summary.encoded_calls == n
+        return grown
+
+    run(200)  # first-call allocations stay out of both peaks
+    assert peak(8000) <= peak(4000) + 64 * 1024

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from chainwatch.encoder import FeatureEncoder
 from chainwatch.fingerprints import (
     DuplicateExploitId,
     EmptyFingerprint,
@@ -11,7 +12,6 @@ from chainwatch.fingerprints import (
     FingerprintError,
     WhiteList,
     load_fingerprints,
-    validate_encoding,
 )
 
 from .conftest import FIXTURES
@@ -21,6 +21,16 @@ TEMPLATE = (
     '{"api_name":"readLine","category":"invokevirtual","scope":"Application",'
     '"package":"Ljava/io/BufferedReader","inputs":[],"outputs":["String"]}'
 )
+
+
+def validate_encoding(db: FingerprintDb, encoder: FeatureEncoder) -> None:
+    """Re-encode every template and compare against the stored vectors."""
+    for fp in db.fingerprints.values():
+        fresh = np.stack([encoder.encode(c) for c in fp.templates])
+        if not np.array_equal(fresh, fp.template_vectors):
+            raise FingerprintError(
+                f"exploit {fp.exploit_id}: stored template vectors disagree with encoder"
+            )
 
 
 def test_load_sql_fixture(sql_db, encoder):

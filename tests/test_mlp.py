@@ -25,7 +25,6 @@ from chainwatch.mlp import (
     TrainConfig,
     bce_loss,
     forward,
-    grad_check,
     init_model,
     load_model,
     logit_cut,
@@ -36,7 +35,7 @@ from chainwatch.mlp import (
     train,
 )
 
-from .oracles import reference_sigmoid, straight_line_forward
+from .oracles import grad_check, reference_sigmoid, straight_line_forward
 
 
 def test_architecture():

@@ -25,10 +25,10 @@ from chainwatch.monitor import (
     cosine,
 )
 from chainwatch.fingerprints import Fingerprint, FingerprintDb, load_fingerprints
-from chainwatch.synthgen import mixed_trace
 
 from .conftest import FIXTURES
 from .oracles import NaiveChainMatcher, reference_step
+from .synthgen import mixed_trace
 
 
 def _alarms(events):

@@ -11,8 +11,9 @@ import pytest
 from chainwatch.fingerprints import load_fingerprints
 from chainwatch.monitor import cosine
 from chainwatch.sdg import load_sdg, lower_fingerprint, match_query
-from chainwatch.synthgen import SynthError, make_world, mixed_trace
 from chainwatch.trace import parse_trace_record
+
+from .synthgen import SynthError, make_world, mixed_trace
 
 
 def test_world_shape(small_world):

@@ -13,10 +13,10 @@ from chainwatch.trace import (
     UnknownIoType,
     UnknownPackage,
     UnknownScope,
+    call_from_record,
     parse_trace_record,
     read_trace,
     serialize_trace_record,
-    write_trace,
 )
 from chainwatch.vocab import CATEGORIES, SCOPES
 
@@ -108,15 +108,20 @@ def vocabs_session(vocabs):
 def test_bad_records_raise(vocabs, mutate, exc):
     obj = json.loads(GOOD_LINE)
     mutate(obj)
-    with pytest.raises(exc):
+    with pytest.raises(exc) as from_line:
         parse_trace_record(json.dumps(obj), vocabs)
+    with pytest.raises(exc) as from_obj:
+        call_from_record(obj, vocabs)
+    assert str(from_obj.value) == str(from_line.value)
 
 
 def test_not_json_and_not_object(vocabs):
     with pytest.raises(MalformedRecord):
         parse_trace_record("{nope", vocabs)
-    with pytest.raises(MalformedRecord):
+    with pytest.raises(MalformedRecord, match="record must be a JSON object"):
         parse_trace_record("[1,2]", vocabs)
+    with pytest.raises(MalformedRecord, match="record must be a JSON object"):
+        call_from_record([1, 2], vocabs)
 
 
 def test_unknown_errors_carry_field_and_value(vocabs):
@@ -140,9 +145,8 @@ def test_read_write_round_trip(vocabs):
     stream = io.StringIO(GOOD_LINE + "\n" + GOOD_LINE + "\n")
     trace = read_trace(stream, vocabs, source_id="x")
     assert len(trace) == 2
-    out = io.StringIO()
-    write_trace(trace, out)
-    assert out.getvalue() == GOOD_LINE + "\n" + GOOD_LINE + "\n"
+    out = "".join(serialize_trace_record(call) + "\n" for call in trace.calls)
+    assert out == GOOD_LINE + "\n" + GOOD_LINE + "\n"
 
 
 def test_trace_is_iterable(vocabs):
