@@ -191,6 +191,6 @@ def run_bench(
         extra=len(engine.alarm_keys - naive.alarm_keys),
         comparison_ratio=_ratio(naive.comparisons_per_call, engine.comparisons_per_call, agree),
         latency_ratio=_ratio(naive.latency.median_us, engine.latency.median_us, agree),
-        param_count=model.param_count(),
+        param_count=mlp.PARAM_COUNT,
         repetitions=repetitions,
     )

@@ -22,7 +22,6 @@ import os
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import __version__
 from . import bench as bench_mod
@@ -98,6 +97,10 @@ _whitelist_opt = click.option("--whitelist", envvar="CHAINWATCH_WHITELIST", show
                               help="White-listed API names, one per line.")
 _corpus_opt = click.option("--corpus", envvar="CHAINWATCH_CORPUS", show_envvar=True,
                            required=True, help="Corpus directory.")
+_threshold_classify_opt = click.option(
+    "--threshold-classify", default=DEFAULT_CLASSIFY_THRESHOLD,
+    type=click.FloatRange(0.0, 1.0, min_open=True, max_open=True),
+    help="Probability needed to nominate a label.")
 _threshold_cosine_opt = click.option("--threshold-cosine", type=float,
                                      default=DEFAULT_COSINE_THRESHOLD,
                                      help="Similarity needed to advance a chain.")
@@ -161,9 +164,8 @@ def train(seed, embeddings, vocab_dir, corpus, out, epochs, lr, batch_size):
     """Train the classifier on a corpus directory's train split."""
     encoder = FeatureEncoder.from_paths(embeddings, vocab_dir)
     train_cfg = mlp.TrainConfig(learning_rate=lr, epochs=epochs, batch_size=batch_size, seed=seed)
-    manifest = corpus_mod.read_manifest(corpus)
     items = corpus_mod.load_split(corpus, "train", encoder.vocabs)
-    x, t = corpus_mod.build_xy(items, encoder, manifest["n_labels"])
+    x, t = corpus_mod.build_xy(items, encoder, mlp.N_LABELS)
     model, report = mlp.train(x, t, train_cfg)
     mlp.save_model(model, out)
     click.echo(json.dumps({
@@ -176,7 +178,7 @@ def train(seed, embeddings, vocab_dir, corpus, out, epochs, lr, batch_size):
         "seed": train_cfg.seed,
         "initial_loss": report.initial_loss,
         "final_loss": report.final_loss,
-        "param_count": model.param_count(),
+        "param_count": mlp.PARAM_COUNT,
     }))
 
 
@@ -197,8 +199,7 @@ def _emit_detection(ctx, result, out):
 @_fingerprints_opt()
 @_whitelist_opt
 @_model_opt()
-@click.option("--threshold-classify", type=float, default=DEFAULT_CLASSIFY_THRESHOLD,
-              help="Probability needed to nominate a candidate.")
+@_threshold_classify_opt
 @_threshold_cosine_opt
 @_halt_opt
 @_alarm_out_opt
@@ -306,10 +307,9 @@ def gen_dataset(seed, embeddings, vocab_dir, fingerprints, sdg, out, benign_pool
 @_corpus_opt
 @_split_name_opt
 @click.option("--predictions", help="Pre-computed per-call label lines; bypasses the model.")
-@click.option("--threshold", type=float, default=DEFAULT_CLASSIFY_THRESHOLD,
-              help="Classification threshold.")
+@_threshold_classify_opt
 def eval_cmd(embeddings, vocab_dir, fingerprints, model, corpus, split_name, predictions,
-             threshold):
+             threshold_classify):
     """Score per-call exploit predictions against a corpus split's labels.
 
     With --model, predictions come from the classifier; with --predictions,
@@ -317,35 +317,29 @@ def eval_cmd(embeddings, vocab_dir, fingerprints, model, corpus, split_name, pre
     sorted order).  Reports per-label, per-CWE pooled, and macro metrics.
     """
     encoder = FeatureEncoder.from_paths(embeddings, vocab_dir)
-    n_labels = corpus_mod.read_manifest(corpus)["n_labels"]
     items = corpus_mod.load_split(corpus, split_name, encoder.vocabs)
     label_sets = [labels for item in items for labels in item.label_sets]
-    truth = corpus_mod.label_rows(label_sets, n_labels)
+    truth = corpus_mod.label_rows(label_sets, mlp.N_LABELS)
     if predictions:
         pred_sets = corpus_mod.read_labels(Path(predictions))
         if len(pred_sets) != len(label_sets):
             raise click.ClickException(
                 f"{predictions}: {len(pred_sets)} prediction lines for {len(label_sets)} calls"
             )
-        preds = corpus_mod.label_rows(pred_sets, n_labels)
+        preds = corpus_mod.label_rows(pred_sets, mlp.N_LABELS)
     elif model:
-        x, _ = corpus_mod.build_xy(items, encoder, n_labels)
-        preds = (mlp.forward(mlp.load_model(model), x) >= threshold).astype(np.float64)
+        x, _ = corpus_mod.build_xy(items, encoder, mlp.N_LABELS)
+        preds = mlp.forward(mlp.load_model(model), x) >= threshold_classify
     else:
         raise click.ClickException("a model file is required (--model)")
-    tables = metrics.new_tables(n_labels)
-    for row_pred, row_true in zip(preds, truth):
-        metrics.accumulate(tables, row_pred, row_true)
+    tables = metrics.confusion_tables(preds, truth)
 
     macro = metrics.macro_average(tables)
     support = metrics.supported_labels(tables)
     macro_supported = metrics.macro_average(tables, support) if support else None
-    lines = []
-    header = f"{'label':>8} {'tp':>7} {'fp':>7} {'fn':>7} {'tn':>9} {'acc':>7} {'prec':>7} {'rec':>7} {'f1':>7}"
-    lines.append(header)
-    for i, c in enumerate(tables):
-        if c.tp + c.fp + c.fn == 0:
-            continue
+    lines = [f"{'label':>8} {'tp':>7} {'fp':>7} {'fn':>7} {'tn':>9} {'acc':>7} {'prec':>7} {'rec':>7} {'f1':>7}"]
+    for i in support:
+        c = tables[i]
         s = metrics.summarize(c)
         lines.append(
             f"{i:>8} {c.tp:>7} {c.fp:>7} {c.fn:>7} {c.tn:>9} "
@@ -354,8 +348,7 @@ def eval_cmd(embeddings, vocab_dir, fingerprints, model, corpus, split_name, pre
     per_cwe = {}
     if fingerprints:
         db = load_fingerprints(fingerprints, encoder)
-        lines.append("")
-        lines.append("per-CWE (pooled):")
+        lines += ["", "per-CWE (pooled):"]
         for cwe, ids in db.cwe_index().items():
             c = metrics.pooled(tables, ids)
             s = metrics.summarize(c)

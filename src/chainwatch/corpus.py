@@ -18,11 +18,14 @@ import numpy as np
 
 from .encoder import FeatureEncoder
 from .fingerprints import FingerprintDb
+from .mlp import N_LABELS
+from .sdg import match_key
 from .trace import InstructionCall, Trace, read_trace, serialize_trace_record
 from .vocab import Vocabularies
 
 MANIFEST_NAME = "corpus.json"
 MANIFEST_VERSION = 1
+_LABEL_IDS = frozenset(range(N_LABELS))
 
 
 class CorpusError(ValueError):
@@ -54,20 +57,20 @@ class TraceItem:
 
 
 def trigger_index(db: FingerprintDb) -> dict[tuple[str, str, str], frozenset[int]]:
-    """(api_name, category, package) -> exploit ids with a matching template.
+    """:func:`sdg.match_key` -> exploit ids with a matching template.
 
-    Uses the same match key as query lowering, so a call is labeled with every
-    exploit whose chain it can advance, not just the one being emitted.
+    Keyed as query lowering matches, so a call is labeled with every exploit
+    whose chain it can advance, not just the one being emitted.
     """
     raw: dict[tuple[str, str, str], set[int]] = {}
     for fp in db.fingerprints.values():
         for t in fp.templates:
-            raw.setdefault((t.api_name, t.category, t.package), set()).add(fp.exploit_id)
+            raw.setdefault(match_key(t), set()).add(fp.exploit_id)
     return {key: frozenset(ids) for key, ids in raw.items()}
 
 
 def _labels_for(call: InstructionCall, index) -> frozenset[int]:
-    return index.get((call.api_name, call.category, call.package), frozenset())
+    return index.get(match_key(call), frozenset())
 
 
 def _draw_filler(pool, rng, rate: float) -> list[InstructionCall]:
@@ -178,7 +181,7 @@ def generate_corpus(
         "benign_ratio": benign_ratio,
         "filler_rate": padding.filler_rate,
         "per_sequence": padding.per_sequence,
-        "n_labels": db.capacity,
+        "n_labels": N_LABELS,
         "counts": counts,
         "true_exploits": truth,
     }
@@ -197,21 +200,36 @@ class CorpusItem:
 
 
 def read_manifest(corpus_dir: str | Path) -> dict:
+    """The manifest, with every key its readers use checked."""
     path = Path(corpus_dir) / MANIFEST_NAME
     if not path.is_file():
         raise CorpusError(f"missing manifest: {path}")
     manifest = json.loads(path.read_text())
-    if manifest.get("version") != MANIFEST_VERSION:
-        raise CorpusError(f"{path}: unsupported manifest version {manifest.get('version')}")
+    if not isinstance(manifest, dict):
+        raise CorpusError(f"{path}: expected a JSON object")
+    for key, want in (("version", MANIFEST_VERSION), ("n_labels", N_LABELS)):
+        if type(manifest.get(key)) is not int or manifest[key] != want:
+            raise CorpusError(f"{path}: {key} must be {want}, got {manifest.get(key)!r}")
+    truth = manifest.get("true_exploits")
+    if not isinstance(truth, dict) or not all(isinstance(ids, list) for ids in truth.values()):
+        raise CorpusError(f"{path}: true_exploits must map trace names to lists of ids")
     return manifest
 
 
 def read_labels(path: Path) -> list[frozenset[int]]:
-    """One label set per line of a ``.labels`` file (blank line: no labels)."""
+    """One set of label ids in ``[0, mlp.N_LABELS)`` per line of a ``.labels`` file."""
     sets = []
-    for raw in path.read_text().splitlines():
+    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.strip()
-        sets.append(frozenset(int(p) for p in line.split(",") if p) if line else frozenset())
+        try:
+            labels = frozenset(int(p) for p in line.split(",") if p) if line else frozenset()
+        except ValueError:
+            labels = None
+        if labels is None or not labels <= _LABEL_IDS:
+            raise CorpusError(
+                f"{path} line {lineno}: {line!r} is not a list of ids in [0, {N_LABELS})"
+            )
+        sets.append(labels)
     return sets
 
 

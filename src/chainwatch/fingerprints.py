@@ -25,9 +25,8 @@ from typing import Mapping
 import numpy as np
 
 from .encoder import VECTOR_DIM, FeatureEncoder
+from .mlp import N_LABELS
 from .trace import InstructionCall, TraceError, call_from_record
-
-DEFAULT_CAPACITY = 79
 
 ROLE_SOURCE = "source"
 ROLE_SINK = "sink"
@@ -84,6 +83,7 @@ class Fingerprint:
 class FingerprintDb:
     """All loaded fingerprints, keyed by exploit id (one fingerprint per id).
 
+    Every id lies in the classifier's label space ``[0, mlp.N_LABELS)``.
     ``fingerprints`` is held as a read-only copy of the mapping given, so
     everything derived from it here, once, cannot go stale:
 
@@ -97,7 +97,6 @@ class FingerprintDb:
     """
 
     fingerprints: Mapping[int, Fingerprint]
-    capacity: int = DEFAULT_CAPACITY
     exploit_ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
     positions: Mapping[int, int] = field(init=False, repr=False, compare=False)
     template_matrix: np.ndarray = field(init=False, repr=False, compare=False)
@@ -106,11 +105,9 @@ class FingerprintDb:
     template_norm_span: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for exploit_id in self.fingerprints:
-            if not 0 <= exploit_id < self.capacity:
-                raise FingerprintError(
-                    f"exploit id {exploit_id} outside capacity [0, {self.capacity})"
-                )
+        bad = set(self.fingerprints) - set(range(N_LABELS))
+        if bad:
+            raise FingerprintError(f"exploit id {min(bad)} outside the label space [0, {N_LABELS})")
         ids = tuple(sorted(self.fingerprints))
         ordered = [self.fingerprints[eid] for eid in ids]
         lengths = [len(fp) for fp in ordered]
@@ -163,11 +160,7 @@ def _parse_header(obj: dict, where: str) -> tuple[int, str, str]:
     return obj["exploit_id"], obj["cwe_id"], obj["label"]
 
 
-def load_fingerprints(
-    path: str | Path,
-    encoder: FeatureEncoder,
-    capacity: int = DEFAULT_CAPACITY,
-) -> FingerprintDb:
+def load_fingerprints(path: str | Path, encoder: FeatureEncoder) -> FingerprintDb:
     """Parse, validate and pre-encode a fingerprint file."""
     path = Path(path)
     fingerprints: dict[int, Fingerprint] = {}
@@ -229,7 +222,7 @@ def load_fingerprints(
         current["roles"].append(role)
 
     finish(current)
-    return FingerprintDb(fingerprints=fingerprints, capacity=capacity)
+    return FingerprintDb(fingerprints=fingerprints)
 
 
 class WhiteList:

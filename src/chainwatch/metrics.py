@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
-
-N_LABELS_DEFAULT = 79
 
 
 @dataclass
@@ -20,16 +19,6 @@ class Confusion:
     def total(self) -> int:
         return self.tp + self.fp + self.tn + self.fn
 
-    def add(self, predicted: bool, actual: bool) -> None:
-        if predicted and actual:
-            self.tp += 1
-        elif predicted and not actual:
-            self.fp += 1
-        elif not predicted and actual:
-            self.fn += 1
-        else:
-            self.tn += 1
-
     def merge(self, other: "Confusion") -> "Confusion":
         return Confusion(
             tp=self.tp + other.tp,
@@ -39,24 +28,20 @@ class Confusion:
         )
 
 
-def new_tables(n_labels: int = N_LABELS_DEFAULT) -> list[Confusion]:
-    return [Confusion() for _ in range(n_labels)]
-
-
-def accumulate(tables: list[Confusion], predicted, actual) -> None:
-    """Count one multi-label decision into the per-label tables.
-
-    ``predicted``/``actual`` are 0/1 vectors (or boolean arrays) of the same
-    length as ``tables``.
-    """
-    predicted = np.asarray(predicted)
-    actual = np.asarray(actual)
-    if predicted.shape != (len(tables),) or actual.shape != (len(tables),):
+def confusion_tables(predicted, actual) -> list[Confusion]:
+    """One table per label from two ``(n, labels)`` arrays of 0/1 or booleans,
+    one row per decision and one column per label."""
+    predicted = np.asarray(predicted, dtype=bool)
+    actual = np.asarray(actual, dtype=bool)
+    if predicted.ndim != 2 or predicted.shape != actual.shape:
         raise ValueError(
-            f"expected vectors of length {len(tables)}, got {predicted.shape} and {actual.shape}"
+            f"expected two (n, labels) arrays, got shapes {predicted.shape} and {actual.shape}"
         )
-    for table, p, a in zip(tables, predicted, actual):
-        table.add(bool(p), bool(a))
+    tp = np.count_nonzero(predicted & actual, axis=0)
+    fp = np.count_nonzero(predicted, axis=0) - tp
+    fn = np.count_nonzero(actual, axis=0) - tp
+    tn = len(predicted) - tp - fp - fn
+    return [Confusion(*map(int, counts)) for counts in zip(tp, fp, tn, fn)]
 
 
 def accuracy(c: Confusion) -> float:
@@ -94,20 +79,13 @@ def macro_average(tables: list[Confusion], labels=None) -> dict[str, float]:
     chosen = [tables[i] for i in subset]
     if not chosen:
         raise ValueError("no labels to average over")
-    return {
-        "accuracy": float(np.mean([accuracy(c) for c in chosen])),
-        "precision": float(np.mean([precision(c) for c in chosen])),
-        "recall": float(np.mean([recall(c) for c in chosen])),
-        "f1": float(np.mean([f1(c) for c in chosen])),
-    }
+    per_label = [summarize(c) for c in chosen]
+    return {key: float(np.mean([s[key] for s in per_label])) for key in per_label[0]}
 
 
 def pooled(tables: list[Confusion], label_ids) -> Confusion:
     """Single confusion table summing the given labels (per-CWE reporting)."""
-    out = Confusion()
-    for i in label_ids:
-        out = out.merge(tables[i])
-    return out
+    return reduce(Confusion.merge, (tables[i] for i in label_ids), Confusion())
 
 
 def summarize(c: Confusion) -> dict[str, float]:

@@ -16,19 +16,13 @@ import numpy as np
 
 LAYER_SIZES = (151, 150, 100, 79)
 N_LABELS = LAYER_SIZES[-1]
-PARAM_COUNT = sum(
-    LAYER_SIZES[i] * LAYER_SIZES[i + 1] + LAYER_SIZES[i + 1]
-    for i in range(len(LAYER_SIZES) - 1)
-)  # 45879
-
-_SHAPES = (
-    ("w1", (150, 151)),
-    ("b1", (150,)),
-    ("w2", (100, 150)),
-    ("b2", (100,)),
-    ("w3", (79, 100)),
-    ("b3", (79,)),
+# The parameter tensors in file order, w1, b1, w2, b2, w3, b3; w_i is (fan_out, fan_in).
+_SHAPES = tuple(
+    (f"{kind}{i}", shape)
+    for i, (fan_in, fan_out) in enumerate(zip(LAYER_SIZES, LAYER_SIZES[1:]), start=1)
+    for kind, shape in (("w", (fan_out, fan_in)), ("b", (fan_out,)))
 )
+PARAM_COUNT = sum(math.prod(shape) for _, shape in _SHAPES)  # 45879
 
 _MAGIC = b"CWMLP\x00"
 _FORMAT_VERSION = 1
@@ -74,9 +68,6 @@ class MlpModel:
     def tensors(self):
         return [(name, getattr(self, name)) for name, _ in _SHAPES]
 
-    def param_count(self) -> int:
-        return sum(arr.size for _, arr in self.tensors())
-
 
 def init_model(seed: int = 0) -> MlpModel:
     """Seeded init: weights uniform in +-sqrt(6/(fan_in+fan_out)), biases zero."""
@@ -98,20 +89,10 @@ def _sigmoid_stable(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def logits(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """relu(W1 x + b1) -> relu(W2 . + b2) -> W3 . + b3: the output logits.
-
-    ``x`` is one encoded call of shape (151,), giving (79,) logits, or a batch
-    of shape (n, 151), giving (n, 79).  Each layer adds its bias and clips at
-    zero in place on the product's fresh array; ``+=`` and ``np.maximum(...,
-    out=)`` compute element by element what ``+`` and ``np.maximum`` do, so
-    the result is bit-equal to the out-of-place expression.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (1, 2) or x.shape[-1] != LAYER_SIZES[0]:
-        raise ValueError(
-            f"expected input shape ({LAYER_SIZES[0]},) or (n, {LAYER_SIZES[0]}), got {x.shape}"
-        )
+def _layers(model: MlpModel, x: np.ndarray):
+    """``(h1, h2, z)``: both relu layers' outputs and the logits.  Each layer
+    adds its bias and clips in place on the product's fresh array, bit-equal
+    to the out-of-place ``x @ w.T + b`` and ``np.maximum(., 0.0)``."""
     h1 = x @ model.w1.T
     h1 += model.b1
     np.maximum(h1, 0.0, out=h1)
@@ -120,7 +101,21 @@ def logits(model: MlpModel, x: np.ndarray) -> np.ndarray:
     np.maximum(h2, 0.0, out=h2)
     z = h2 @ model.w3.T
     z += model.b3
-    return z
+    return h1, h2, z
+
+
+def logits(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    """relu(W1 x + b1) -> relu(W2 . + b2) -> W3 . + b3: the output logits.
+
+    ``x`` is one encoded call of shape (151,), giving (79,) logits, or a batch
+    of shape (n, 151), giving (n, 79).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.shape[-1] != LAYER_SIZES[0]:
+        raise ValueError(
+            f"expected input shape ({LAYER_SIZES[0]},) or (n, {LAYER_SIZES[0]}), got {x.shape}"
+        )
+    return _layers(model, x)[2]
 
 
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -231,26 +226,24 @@ def loss_and_grads(model: MlpModel, x: np.ndarray, t: np.ndarray):
     """Batch loss plus analytic gradients for every parameter tensor.
 
     The gradient uses the usual logistic/cross-entropy cancellation, which is
-    exact wherever the clamp in :func:`bce_loss` is inactive.
+    exact wherever the clamp in :func:`bce_loss` is inactive.  The relu masks
+    are ``h > 0``, which equals ``z > 0`` for ``h = max(z, 0)``.
     """
     x = np.asarray(x, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
     n = x.shape[0]
-    z1 = x @ model.w1.T + model.b1
-    h1 = np.maximum(z1, 0.0)
-    z2 = h1 @ model.w2.T + model.b2
-    h2 = np.maximum(z2, 0.0)
-    y = _sigmoid_stable(h2 @ model.w3.T + model.b3)
+    h1, h2, z = _layers(model, x)
+    y = _sigmoid_stable(z)
 
     dz3 = (y - t) / (n * N_LABELS)
     dw3 = dz3.T @ h2
     db3 = dz3.sum(axis=0)
     dh2 = dz3 @ model.w3
-    dz2 = dh2 * (z2 > 0.0)
+    dz2 = dh2 * (h2 > 0.0)
     dw2 = dz2.T @ h1
     db2 = dz2.sum(axis=0)
     dh1 = dz2 @ model.w2
-    dz1 = dh1 * (z1 > 0.0)
+    dz1 = dh1 * (h1 > 0.0)
     dw1 = dz1.T @ x
     db1 = dz1.sum(axis=0)
 
@@ -387,7 +380,7 @@ def load_model(path: str | Path) -> MlpModel:
     arrays = []
     pos = 0
     for _, shape in _SHAPES:
-        size = int(np.prod(shape))
+        size = math.prod(shape)
         arrays.append(flat[pos : pos + size].reshape(shape).copy())
         pos += size
     return MlpModel(*arrays, seed=seed)

@@ -174,14 +174,13 @@ def lower_fingerprint(fp: Fingerprint) -> VulnQuery:
     return VulnQuery(exploit_id=fp.exploit_id, sources=sources, sinks=sinks)
 
 
+def match_key(call: InstructionCall) -> tuple[str, str, str]:
+    """What a template match compares: api_name, category and package only."""
+    return call.api_name, call.category, call.package
+
+
 def template_matches(call: InstructionCall | None, template: InstructionCall) -> bool:
-    """Template match compares api_name, category and package only."""
-    return (
-        call is not None
-        and call.api_name == template.api_name
-        and call.category == template.category
-        and call.package == template.package
-    )
+    return call is not None and match_key(call) == match_key(template)
 
 
 def _statement_cost(node: SdgNode) -> int:

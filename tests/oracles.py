@@ -8,7 +8,9 @@ scalar helpers use plain Python arithmetic.  The reference monitor step shares
 only ``cosine()`` with the program, so it checks the step's bookkeeping and
 its precomputed norms, not the cosine formula itself.  The gradient check
 takes central differences of the program's own loss, so it checks the
-analytic backward pass against the forward one.
+analytic backward pass against the forward one.  The reference training step
+shares only ``bce_loss`` with the program and writes its forward pass out of
+place, so it checks the step's forward pass and relu masks to the bit.
 """
 
 from __future__ import annotations
@@ -135,6 +137,42 @@ def scalar_metrics(tp: int, fp: int, tn: int, fn: int) -> dict[str, float]:
     rec = tp / (tp + fn) if (tp + fn) else 0.0
     f1 = 2 * prec * rec / (prec + rec) if (prec + rec) else 0.0
     return {"accuracy": acc, "precision": prec, "recall": rec, "f1": f1}
+
+
+def reference_confusion(predicted, actual, labels: int) -> list[tuple[int, int, int, int]]:
+    """Per-label ``(tp, fp, tn, fn)``, recounted one (row, label) element at a time."""
+    counts = [[0, 0, 0, 0] for _ in range(labels)]
+    for row_p, row_a in zip(predicted, actual):
+        for label, (p, a) in enumerate(zip(row_p, row_a)):
+            if p and a:
+                counts[label][0] += 1
+            elif p:
+                counts[label][1] += 1
+            elif a:
+                counts[label][3] += 1
+            else:
+                counts[label][2] += 1
+    return [tuple(c) for c in counts]
+
+
+def reference_loss_and_grads(model: MlpModel, x: np.ndarray, t: np.ndarray):
+    """``loss_and_grads`` with its forward pass written out of place, keeping
+    the pre-activations ``z1`` and ``z2`` and taking the relu masks from them."""
+    n = x.shape[0]
+    z1 = x @ model.w1.T + model.b1
+    h1 = np.maximum(z1, 0.0)
+    z2 = h1 @ model.w2.T + model.b2
+    h2 = np.maximum(z2, 0.0)
+    y = reference_sigmoid(h2 @ model.w3.T + model.b3)
+    dz3 = (y - t) / (n * t.shape[1])
+    dz2 = (dz3 @ model.w3) * (z2 > 0.0)
+    dz1 = (dz2 @ model.w2) * (z1 > 0.0)
+    grads = {
+        "w1": dz1.T @ x, "b1": dz1.sum(axis=0),
+        "w2": dz2.T @ h1, "b2": dz2.sum(axis=0),
+        "w3": dz3.T @ h2, "b3": dz3.sum(axis=0),
+    }
+    return bce_loss(y, t), grads
 
 
 def straight_line_forward(x, w1, b1, w2, b2, w3, b3):

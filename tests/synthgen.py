@@ -23,6 +23,7 @@ import numpy as np
 
 from chainwatch.encoder import FeatureEncoder
 from chainwatch.fingerprints import Fingerprint, FingerprintDb
+from chainwatch.mlp import N_LABELS
 from chainwatch.trace import InstructionCall, serialize_trace_record
 from chainwatch.vocab import CATEGORIES, Vocabularies
 
@@ -75,7 +76,6 @@ class SynthWorld:
     benign_pool: list[InstructionCall]
     interproc: set[int]
     vocabs: Vocabularies
-    capacity: int = 79
     _vectors: dict[InstructionCall, np.ndarray] = field(default_factory=dict, repr=False)
 
     # ---- in-memory views -------------------------------------------------
@@ -94,7 +94,7 @@ class SynthWorld:
                 roles=tuple(roles),
                 template_vectors=np.stack([encoder.encode(c) for c in chain]),
             )
-        return FingerprintDb(fingerprints=fingerprints, capacity=self.capacity)
+        return FingerprintDb(fingerprints=fingerprints)
 
     def all_templates(self) -> list[InstructionCall]:
         seen = []
@@ -271,7 +271,6 @@ def make_world(
     share_source_fraction: float = 0.3,
     max_similarity: float = 0.85,
     include_whitelisted: bool = True,
-    capacity: int = 79,
 ) -> SynthWorld:
     """Fabricate a world of ``n_exploits`` chains plus a benign pool.
 
@@ -281,8 +280,8 @@ def make_world(
     the group's first source call, so some calls legitimately carry several
     labels.
     """
-    if n_exploits < 1 or n_exploits > capacity:
-        raise SynthError(f"n_exploits must lie in [1, {capacity}]")
+    if n_exploits < 1 or n_exploits > N_LABELS:
+        raise SynthError(f"n_exploits must lie in [1, {N_LABELS}]")
     lo, hi = chain_lengths
     if lo < 2:
         raise SynthError("chains must have at least 2 templates")
@@ -347,7 +346,6 @@ def make_world(
         benign_pool=benign,
         interproc=interproc,
         vocabs=encoder.vocabs,
-        capacity=capacity,
     )
 
 

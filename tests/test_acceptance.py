@@ -204,20 +204,14 @@ def test_criterion_3_oracle_equivalence(encoder, whitelist):
 def test_criterion_4_end_to_end_learning(encoder, whitelist, synth20_assets):
     t0 = time.perf_counter()
     assets = synth20_assets
-    tables = metrics.new_tables(mlp.N_LABELS)
+    alarmed = []
     for item in assets.test_items:
         res = detect(item.trace, encoder, whitelist, assets.db, assets.model)
-        predicted = {a.exploit_id for a in res.alarms}
-        for eid in range(mlp.N_LABELS):
-            hit, truth = eid in predicted, eid in item.true_exploits
-            if hit and truth:
-                tables[eid].tp += 1
-            elif hit:
-                tables[eid].fp += 1
-            elif truth:
-                tables[eid].fn += 1
-            else:
-                tables[eid].tn += 1
+        alarmed.append(frozenset(a.exploit_id for a in res.alarms))
+    tables = metrics.confusion_tables(
+        corpus_mod.label_rows(alarmed, mlp.N_LABELS),
+        corpus_mod.label_rows([item.true_exploits for item in assets.test_items], mlp.N_LABELS),
+    )
     supported = metrics.supported_labels(tables)
     macro = metrics.macro_average(tables, labels=supported)
     elapsed = assets.build_seconds + (time.perf_counter() - t0)
@@ -291,9 +285,10 @@ def test_criterion_6_metrics_correctness():
 
     # Macro over the full label space against a scalar recomputation.
     rng = np.random.default_rng(6006)
-    tables = metrics.new_tables(mlp.N_LABELS)
-    for c in tables:
-        c.tp, c.fp, c.tn, c.fn = (int(v) for v in rng.integers(0, 100, size=4))
+    tables = [
+        metrics.Confusion(*(int(v) for v in rng.integers(0, 100, size=4)))
+        for _ in range(mlp.N_LABELS)
+    ]
     macro = metrics.macro_average(tables)
     drift = 0.0
     for key in ("accuracy", "precision", "recall", "f1"):

@@ -19,7 +19,7 @@ from click import ClickException
 from chainwatch.cli import _refuse_to_overwrite, cli, main
 from chainwatch.corpus import read_manifest
 from chainwatch.encoder import default_embedding_path
-from chainwatch.mlp import init_model, load_model, save_model
+from chainwatch.mlp import PARAM_COUNT, init_model, load_model, save_model
 from chainwatch.trace import serialize_trace_record
 from chainwatch.vocab import default_vocab_dir
 
@@ -387,7 +387,7 @@ class TestGenDataset:
 class TestTrain:
     def test_model_written_and_report(self, cli_model, capsys):
         model = load_model(cli_model)
-        assert model.param_count() == 45879
+        assert sum(arr.size for _, arr in model.tensors()) == PARAM_COUNT == 45879
 
     def test_report_fields(self, cli_corpus, tmp_path, capsys):
         out = tmp_path / "m.cwmlp"
@@ -405,6 +405,31 @@ class TestTrain:
     def test_missing_corpus_exit_1(self, capsys):
         rc = main(["train", "--out", "/tmp/x.cwmlp"])
         assert rc == 1
+
+
+def _corpus_without(cli_corpus, tmp_path, key):
+    """A copy of the corpus whose manifest lacks ``key``."""
+    copy = tmp_path / "corpus"
+    shutil.copytree(cli_corpus, copy)
+    manifest = json.loads((copy / "corpus.json").read_text())
+    del manifest[key]
+    (copy / "corpus.json").write_text(json.dumps(manifest))
+    return copy
+
+
+def _one_error_line(err: str) -> str:
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: "), err
+    return lines[0]
+
+
+@pytest.mark.parametrize("command, key", [("train", "n_labels"), ("eval", "true_exploits")])
+def test_incomplete_manifest_exit_1(cli_corpus, cli_model, tmp_path, capsys, command, key):
+    corpus = _corpus_without(cli_corpus, tmp_path, key)
+    extra = ["--out", str(tmp_path / "m.cwmlp")] if command == "train" else ["--model", str(cli_model)]
+    rc = main([command, "--corpus", str(corpus), *extra])
+    assert rc == 1
+    assert key in _one_error_line(capsys.readouterr().err)
 
 
 class TestEval:
@@ -433,6 +458,51 @@ class TestEval:
         assert report["macro_supported"]["precision"] == 1.0
         assert report["macro_supported"]["recall"] == 1.0
         assert report["macro_supported"]["f1"] == 1.0
+
+    @pytest.mark.parametrize("label", ["-1", "79", "x"])
+    def test_predictions_outside_the_label_space_exit_1(self, cli_corpus, tmp_path, capsys, label):
+        """One prediction line per call, every line the same bad id."""
+        calls = sum(len(p.read_text().splitlines()) for p in (cli_corpus / "test").glob("*.labels"))
+        pred = tmp_path / "pred.txt"
+        pred.write_text(f"{label}\n" * calls)
+        rc = main(["eval", "--corpus", str(cli_corpus), "--predictions", str(pred)])
+        assert rc == 1
+        error = _one_error_line(capsys.readouterr().err)
+        assert f"pred.txt line 1: '{label}' is not a list of ids in [0, 79)" in error
+
+    def test_threshold_classify_from_config(self, cli_corpus, cli_model, tmp_path, capsys):
+        """The config key threshold_classify sets eval's threshold as the flag does."""
+        base = ["eval", "--corpus", str(cli_corpus), "--model", str(cli_model)]
+        assert main(base) == 0
+        default = capsys.readouterr().out
+        assert main([*base, "--threshold-classify", "1e-300"]) == 0
+        flagged = capsys.readouterr().out
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"threshold_classify": 1e-300}))
+        assert main([*base, "--config", str(config)]) == 0
+        assert capsys.readouterr().out == flagged != default
+        assert _last_json(flagged)["macro_supported"]["precision"] < 1.0
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_threshold_classify_outside_unit_interval_exit_1(
+        self, cli_corpus, cli_model, tmp_path, capsys, via
+    ):
+        args = ["eval", "--corpus", str(cli_corpus), "--model", str(cli_model)]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"threshold_classify": 2}))
+        args += ["--threshold-classify", "2"] if via == "flag" else ["--config", str(config)]
+        assert main(args) == 1
+        assert "--threshold-classify" in capsys.readouterr().err
+
+    def test_old_threshold_key_is_unknown(self, cli_corpus, cli_model, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"threshold": 0.5}))
+        rc = main([
+            "eval", "--corpus", str(cli_corpus), "--model", str(cli_model),
+            "--config", str(config),
+        ])
+        assert rc == 1
+        assert "unknown key(s): threshold" in capsys.readouterr().err
 
     def test_predictions_length_mismatch_exit_1(self, cli_corpus, tmp_path, capsys):
         pred = tmp_path / "short.txt"

@@ -13,6 +13,7 @@ from chainwatch.corpus import (
     generate_corpus,
     label_rows,
     load_split,
+    read_labels,
     read_manifest,
     trigger_index,
 )
@@ -212,7 +213,47 @@ def test_read_manifest_errors(tmp_path):
         read_manifest(tmp_path)
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"n_labels": None}, "n_labels must be 79, got None"),
+        ({"true_exploits": None}, "true_exploits must map trace names to lists of ids"),
+        ({"n_labels": 80}, "n_labels must be 79, got 80"),
+        ({"n_labels": 79.0}, "n_labels must be 79, got 79.0"),
+        ({"true_exploits": []}, "true_exploits must map"),
+        ({"true_exploits": {"test/trace_00000": 5}}, "true_exploits must map"),
+    ],
+)
+def test_read_manifest_checks_every_key_read(tmp_path, change, message):
+    """A key set to None is left out of the file."""
+    manifest = {"version": 1, "n_labels": 79, "true_exploits": {}, **change}
+    manifest = {k: v for k, v in manifest.items() if v is not None}
+    (tmp_path / "corpus.json").write_text(json.dumps(manifest))
+    with pytest.raises(CorpusError, match=message.replace("(", r"\(")):
+        read_manifest(tmp_path)
+
+
+def test_read_manifest_rejects_a_non_object(tmp_path):
+    (tmp_path / "corpus.json").write_text("[1]\n")
+    with pytest.raises(CorpusError, match="expected a JSON object"):
+        read_manifest(tmp_path)
+
+
+def test_read_labels(tmp_path):
+    path = tmp_path / "t.labels"
+    path.write_text("\n0\n3,78\n 5 , 6 \n")
+    assert read_labels(path) == [frozenset(), {0}, {3, 78}, {5, 6}]
+
+
+@pytest.mark.parametrize("line", ["-1", "79", "2,79", "x", "1.5", "1, ,2"])
+def test_read_labels_rejects_ids_outside_the_label_space(tmp_path, line):
+    path = tmp_path / "t.labels"
+    path.write_text(f"0\n{line}\n")
+    with pytest.raises(CorpusError, match=f"t.labels line 2: .* not a list of ids in \\[0, 79\\)"):
+        read_labels(path)
+
+
 def test_load_split_errors(tmp_path, vocabs):
-    (tmp_path / "corpus.json").write_text('{"version": 1, "true_exploits": {}}\n')
+    (tmp_path / "corpus.json").write_text('{"version": 1, "n_labels": 79, "true_exploits": {}}\n')
     with pytest.raises(CorpusError, match="missing split"):
         load_split(tmp_path, "train", vocabs)

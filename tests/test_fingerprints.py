@@ -101,13 +101,13 @@ def test_bad_template_record(tmp_path, encoder):
 
 
 def test_capacity_enforced(tmp_path, encoder):
+    """Ids must lie in the classifier's label space [0, 79)."""
     p = tmp_path / "f.fp"
     p.write_text(f"{HEADER % 79}\n{TEMPLATE}\n")
-    with pytest.raises(FingerprintError, match="capacity"):
+    with pytest.raises(FingerprintError, match=r"label space \[0, 79\)"):
         load_fingerprints(p, encoder)
-    # same id fits with a larger capacity
-    db = load_fingerprints(p, encoder, capacity=80)
-    assert 79 in db
+    p.write_text(f"{HEADER % 78}\n{TEMPLATE}\n")
+    assert 78 in load_fingerprints(p, encoder)
 
 
 def test_blank_lines_ignored(tmp_path, encoder):

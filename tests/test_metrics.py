@@ -5,11 +5,10 @@ from hypothesis import strategies as st
 
 from chainwatch.metrics import (
     Confusion,
-    accumulate,
     accuracy,
+    confusion_tables,
     f1,
     macro_average,
-    new_tables,
     pooled,
     precision,
     recall,
@@ -17,16 +16,17 @@ from chainwatch.metrics import (
     supported_labels,
 )
 
-from .oracles import scalar_metrics
+from .oracles import reference_confusion, scalar_metrics
+
+
+def _counts(tables):
+    return [(c.tp, c.fp, c.tn, c.fn) for c in tables]
 
 
 def test_counting():
-    c = Confusion()
-    c.add(True, True)
-    c.add(True, False)
-    c.add(False, True)
-    c.add(False, False)
-    c.add(True, True)
+    # One label, five decisions: (predicted, actual) = TT, TF, FT, FF, TT.
+    (c,) = confusion_tables([[True], [True], [False], [False], [True]],
+                            [[True], [False], [True], [False], [True]])
     assert (c.tp, c.fp, c.fn, c.tn) == (2, 1, 1, 1)
     assert c.total == 5
 
@@ -70,9 +70,7 @@ def test_zero_denominator_conventions():
 
 
 def test_accumulate():
-    tables = new_tables(4)
-    accumulate(tables, [1, 1, 0, 0], [1, 0, 1, 0])
-    accumulate(tables, [0, 1, 0, 1], [0, 1, 0, 1])
+    tables = confusion_tables([[1, 1, 0, 0], [0, 1, 0, 1]], [[1, 0, 1, 0], [0, 1, 0, 1]])
     assert (tables[0].tp, tables[0].tn) == (1, 1)
     assert (tables[1].fp, tables[1].tp) == (1, 1)
     assert (tables[2].fn, tables[2].tn) == (1, 1)
@@ -80,27 +78,39 @@ def test_accumulate():
 
 
 def test_accumulate_accepts_bool_arrays():
-    tables = new_tables(3)
-    accumulate(tables, np.array([True, False, True]), np.array([True, True, False]))
+    tables = confusion_tables(np.array([[True, False, True]]), np.array([[True, True, False]]))
     assert tables[0].tp == 1 and tables[1].fn == 1 and tables[2].fp == 1
 
 
 def test_accumulate_shape_check():
     with pytest.raises(ValueError):
-        accumulate(new_tables(3), [1, 0], [1, 0, 0])
+        confusion_tables([[1, 0]], [[1, 0, 0]])
+    with pytest.raises(ValueError):
+        confusion_tables([1, 0, 0], [1, 0, 0])  # one decision must be a (1, labels) row
 
 
 def test_accumulate_order_independent():
     rng = np.random.default_rng(5)
     pred = rng.integers(0, 2, size=(30, 6))
     act = rng.integers(0, 2, size=(30, 6))
-    a = new_tables(6)
-    for p, t in zip(pred, act):
-        accumulate(a, p, t)
-    b = new_tables(6)
-    for i in rng.permutation(30):
-        accumulate(b, pred[i], act[i])
-    assert [(c.tp, c.fp, c.tn, c.fn) for c in a] == [(c.tp, c.fp, c.tn, c.fn) for c in b]
+    order = rng.permutation(30)
+    a = confusion_tables(pred, act)
+    b = confusion_tables(pred[order], act[order])
+    assert _counts(a) == _counts(b)
+
+
+@given(st.integers(0, 40), st.integers(0, 9), st.data())
+def test_confusion_tables_match_per_element_recount(rows, labels, data):
+    cells = st.lists(
+        st.lists(st.booleans(), min_size=labels, max_size=labels), min_size=rows, max_size=rows
+    )
+    pred, act = data.draw(cells), data.draw(cells)
+    tables = confusion_tables(
+        np.array(pred, dtype=bool).reshape(rows, labels),
+        np.array(act, dtype=bool).reshape(rows, labels),
+    )
+    assert _counts(tables) == reference_confusion(pred, act, labels)
+    assert all(type(v) is int for c in tables for v in (c.tp, c.fp, c.tn, c.fn))
 
 
 def test_merge():
@@ -112,11 +122,8 @@ def test_merge():
 
 
 def test_supported_labels():
-    tables = new_tables(5)
-    tables[1].tp = 1
-    tables[2].fn = 1
-    tables[4].fp = 1
-    tables[0].tn = 100  # negatives only: not supported
+    tables = [Confusion(tn=100), Confusion(tp=1), Confusion(fn=1), Confusion(), Confusion(fp=1)]
+    # label 0 has negatives only: not supported
     assert supported_labels(tables) == [1, 2, 4]
 
 
@@ -132,9 +139,7 @@ def test_macro_average_is_unweighted_mean():
 
 
 def test_macro_average_subset():
-    tables = new_tables(4)
-    tables[0].tp = 5  # perfect
-    tables[2].fn = 5  # all missed
+    tables = [Confusion(tp=5), Confusion(), Confusion(fn=5), Confusion()]  # perfect, -, all missed, -
     assert macro_average(tables, labels=[0])["f1"] == 1.0
     assert macro_average(tables, labels=[0, 2])["f1"] == 0.5
     # averaging over all 4 dilutes by the two untouched labels

@@ -35,7 +35,12 @@ from chainwatch.mlp import (
     train,
 )
 
-from .oracles import grad_check, reference_sigmoid, straight_line_forward
+from .oracles import (
+    grad_check,
+    reference_loss_and_grads,
+    reference_sigmoid,
+    straight_line_forward,
+)
 
 
 def test_architecture():
@@ -43,7 +48,7 @@ def test_architecture():
     assert N_LABELS == 79
     # 151*150+150 + 150*100+100 + 100*79+79
     assert PARAM_COUNT == 45879
-    assert init_model(0).param_count() == 45879
+    assert sum(arr.size for _, arr in init_model(0).tensors()) == 45879
 
 
 def test_init_is_seeded_glorot():
@@ -356,6 +361,23 @@ def test_loss_and_grads_loss_matches_bce():
     t = (rng.random((6, 79)) < 0.5).astype(float)
     loss, _ = loss_and_grads(m, x, t)
     assert loss == pytest.approx(bce_loss(forward(m, x), t), rel=1e-12)
+
+
+@pytest.mark.parametrize("rows", [1, 17, 32])
+def test_loss_and_grads_bit_equal_to_out_of_place_reference(rows):
+    """Loss and every gradient equal the reference's to the bit, also on rows
+    that put pre-activations at exactly zero (zero inputs, zero biases)."""
+    rng = np.random.default_rng(rows)
+    x = rng.standard_normal((rows, 151))
+    x[::3] = 0.0
+    t = (rng.random((rows, 79)) < 0.3).astype(float)
+    for m in (init_model(seed=rows), _random_model(rows, 3.0)):
+        loss, grads = loss_and_grads(m, x, t)
+        want_loss, want = reference_loss_and_grads(m, x, t)
+        assert loss.hex() == want_loss.hex()
+        assert list(grads) == list(want)
+        for name in grads:
+            assert grads[name].tobytes() == want[name].tobytes(), name
 
 
 def test_overfits_single_example():

@@ -377,13 +377,13 @@ def test_step_clamps_and_zero_norms_as_reference(step_db):
     assert clamped > 0
 
 
-WIDE_ZERO_ROW_ID = 79
+WIDE_ZERO_ROW_ID = 78
 
 
 @pytest.fixture(scope="module")
 def wide_db(encoder, step_db):
-    """cwe79.fp plus step_db's zero-row exploit as exploit 79: 80 exploits, so
-    candidate sets fall on both sides of ``SCREEN_MIN_CANDIDATES``."""
+    """cwe79.fp with its exploit 78 swapped for step_db's zero-row exploit: 79
+    exploits, so candidate sets fall on both sides of ``SCREEN_MIN_CANDIDATES``."""
     cwe79 = load_fingerprints(FIXTURES / "cwe79.fp", encoder)
     zero = step_db[ZERO_ROW_ID]
     moved = Fingerprint(
@@ -394,10 +394,8 @@ def wide_db(encoder, step_db):
         roles=zero.roles,
         template_vectors=zero.template_vectors,
     )
-    db = FingerprintDb(
-        fingerprints={**cwe79.fingerprints, WIDE_ZERO_ROW_ID: moved},
-        capacity=WIDE_ZERO_ROW_ID + 1,
-    )
+    assert WIDE_ZERO_ROW_ID in cwe79
+    db = FingerprintDb(fingerprints={**cwe79.fingerprints, WIDE_ZERO_ROW_ID: moved})
     assert len(db) > SCREEN_MIN_CANDIDATES
     return db
 
