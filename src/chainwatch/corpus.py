@@ -216,21 +216,36 @@ def read_manifest(corpus_dir: str | Path) -> dict:
     return manifest
 
 
-def read_labels(path: Path) -> list[frozenset[int]]:
-    """One set of label ids in ``[0, mlp.N_LABELS)`` per line of a ``.labels`` file."""
+def read_labels(
+    path: Path, memo: dict[str, frozenset[int]] | None = None
+) -> list[frozenset[int]]:
+    """One set of label ids in ``[0, mlp.N_LABELS)`` per line of a ``.labels`` file.
+
+    ``memo`` maps label lines to their sets.  With one, only lines not in it
+    are checked and added, as ``trace.read_trace`` does with record lines.
+    ``load_split`` passes one that lasts for one split load and holds one
+    entry per distinct line; ``eval --predictions`` reads without one.
+    """
     sets = []
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        try:
-            labels = frozenset(int(p) for p in line.split(",") if p) if line else frozenset()
-        except ValueError:
-            labels = None
-        if labels is None or not labels <= _LABEL_IDS:
-            raise CorpusError(
-                f"{path} line {lineno}: {line!r} is not a list of ids in [0, {N_LABELS})"
-            )
+        labels = memo.get(raw) if memo is not None else None
+        if labels is None:
+            labels = _label_set(raw, path, lineno)
+            if memo is not None:
+                memo[raw] = labels
         sets.append(labels)
     return sets
+
+
+def _label_set(raw: str, path: Path, lineno: int) -> frozenset[int]:
+    line = raw.strip()
+    try:
+        labels = frozenset(int(p) for p in line.split(",") if p) if line else frozenset()
+    except ValueError:
+        labels = None
+    if labels is None or not labels <= _LABEL_IDS:
+        raise CorpusError(f"{path} line {lineno}: {line!r} is not a list of ids in [0, {N_LABELS})")
+    return labels
 
 
 def load_split(
@@ -238,20 +253,30 @@ def load_split(
     split_name: str,
     vocabs: Vocabularies,
 ) -> list[CorpusItem]:
+    """Every trace of one split with its label sets and planted exploits.
+
+    Each distinct record line and each distinct label line is parsed and
+    checked once: two memos, one entry per distinct line, last for this call
+    only, and equal lines share one call or label-set object.  A bad line
+    still fails at its first occurrence, naming its file and line.  The
+    detect path reads its traces without a memo, so no cache outlives a
+    trace there; ROADMAP.md leaves that to the bench's cache protocol.
+    """
     corpus_dir = Path(corpus_dir)
     manifest = read_manifest(corpus_dir)
     sub = corpus_dir / split_name
     if not sub.is_dir():
         raise CorpusError(f"missing split directory: {sub}")
+    calls: dict[str, InstructionCall] = {}
+    labels: dict[str, frozenset[int]] = {}
     items = []
     for trace_path in sorted(sub.glob("trace_*.jsonl")):
-        stem = trace_path.stem
+        key = f"{split_name}/{trace_path.stem}"
         with open(trace_path) as fh:
-            trace = read_trace(fh, vocabs, source_id=f"{split_name}/{stem}")
-        label_sets = read_labels(trace_path.with_suffix(".labels"))
+            trace = read_trace(fh, vocabs, source_id=key, memo=calls)
+        label_sets = read_labels(trace_path.with_suffix(".labels"), memo=labels)
         if len(label_sets) != len(trace):
             raise CorpusError(f"{trace_path}: {len(trace)} calls but {len(label_sets)} label lines")
-        key = f"{split_name}/{stem}"
         truth = frozenset(manifest["true_exploits"].get(key, ()))
         items.append(CorpusItem(name=key, trace=trace, label_sets=label_sets, true_exploits=truth))
     if not items:
@@ -259,23 +284,28 @@ def load_split(
     return items
 
 
+def _distinct_rows(values) -> tuple[list, np.ndarray]:
+    """The distinct values in first-seen order, and each value's index among them."""
+    index: dict = {}
+    rows = np.array([index.setdefault(v, len(index)) for v in values], dtype=np.intp)
+    return list(index), rows
+
+
 def build_xy(
     items: list[CorpusItem],
     encoder: FeatureEncoder,
     n_labels: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stack every call of every trace into training arrays (X, T)."""
-    cache: dict[InstructionCall, np.ndarray] = {}
-    xs = []
-    for item in items:
-        for call in item.trace.calls:
-            vec = cache.get(call)
-            if vec is None:
-                vec = encoder.encode(call)
-                cache[call] = vec
-            xs.append(vec)
-    label_sets = [labels for item in items for labels in item.label_sets]
-    return np.stack(xs), label_rows(label_sets, n_labels)
+    """Stack every call of every trace into training arrays (X, T).
+
+    Each distinct call is encoded once and each distinct label set made into
+    one row; X and T then repeat those rows in call order.  The tables last
+    for this call only.
+    """
+    calls, call_rows = _distinct_rows(call for item in items for call in item.trace.calls)
+    sets, set_rows = _distinct_rows(labels for item in items for labels in item.label_sets)
+    x = np.stack([encoder.encode(call) for call in calls])
+    return x[call_rows], label_rows(sets, n_labels)[set_rows]
 
 
 def label_rows(label_sets: list[frozenset[int]], n_labels: int) -> np.ndarray:

@@ -53,15 +53,6 @@ def _similarity(dot: float, norm_a: float, norm_b: float) -> float:
     return min(1.0, max(-1.0, dot / (norm_a * norm_b)))
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity of two equal-length vectors; zero norm maps to 0.0."""
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    b = np.ascontiguousarray(b, dtype=np.float64)
-    if a.ndim != 1 or a.shape != b.shape:
-        raise MonitorError(f"cosine expects equal-length vectors, got {a.shape} and {b.shape}")
-    return _similarity(float(a @ b), float(np.sqrt(a @ a)), float(np.sqrt(b @ b)))
-
-
 # The screen (see ``StateTable.step``).  Its slack, in cosine units, is far above
 # the 2 gamma_151 ~ 3.4e-14 that rounding can move a dot product by.
 SCREEN_SLACK = 1e-9
@@ -95,9 +86,6 @@ class StateTable:
         span_low, span_high = db.template_norm_span
         self._screens = low <= span_low and span_high <= high
 
-    def next_index(self, exploit_id: int) -> int:
-        return int(self._cursors[self.db.positions[exploit_id]])
-
     def step(
         self,
         candidates: Iterable[int],
@@ -117,7 +105,8 @@ class StateTable:
 
         Every similarity is ``_similarity(x . row, |x|, |row|)`` with one
         ``ddot`` per pair, the call's norm taken once and the row's at load,
-        equal to ``cosine(x, row)`` bit for bit.  Without ``keep_events``, a
+        equal bit for bit to ``cosine(x, row)`` in ``tests/oracles.py``,
+        which its ``reference_step`` checks.  Without ``keep_events``, a
         set of at least ``SCREEN_MIN_CANDIDATES`` candidates is screened first
         by one product ``D = M @ x`` over every template row: a pair is
         dropped, as a ``NO_MATCH``, when

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
-from .vocab import CATEGORY_INDEX, SCOPE_INDEX, Vocabularies
+from .vocab import CATEGORY_INDEX, SCOPE_INDEX, WHITESPACE, Vocabularies
 
 RECORD_FIELDS = ("api_name", "category", "scope", "package", "inputs", "outputs")
 
@@ -124,7 +124,7 @@ def call_from_record(obj: object, vocabs: Vocabularies) -> InstructionCall:
         raise MalformedRecord(f"unexpected field(s): {', '.join(sorted(extra))}")
 
     api_name = _require_str(obj, "api_name")
-    if any(ch.isspace() for ch in api_name):
+    if WHITESPACE.search(api_name):
         raise MalformedRecord(f"api_name contains whitespace: {api_name!r}")
     category = _require_str(obj, "category")
     scope = _require_str(obj, "scope")
@@ -173,17 +173,32 @@ def read_trace(
     stream: IO[str] | Iterable[str],
     vocabs: Vocabularies,
     source_id: str = "<stream>",
+    memo: dict[str, InstructionCall] | None = None,
 ) -> Trace:
-    """Read a full trace, failing on the first bad record with its line number."""
+    """Read a full trace, failing on the first bad record with its line number.
+
+    ``memo`` maps stripped record lines to their calls.  With one, a line
+    already in it reuses its call, and only other lines go through
+    ``parse_trace_record`` and are added, so every distinct line is still
+    validated once and equal lines share one (frozen) call.
+    ``corpus.load_split`` passes a memo that lasts for one split load and
+    holds one entry per distinct line.  The detect path passes none, so it
+    keeps no cache across traces.
+    """
     calls = []
     for lineno, raw in enumerate(stream, start=1):
         line = raw.strip()
         if not line:
             continue
-        try:
-            calls.append(parse_trace_record(line, vocabs))
-        except TraceError as exc:
-            exc.line = lineno
-            exc.args = (f"{source_id} line {lineno}: {exc.args[0]}",)
-            raise
+        call = memo.get(line) if memo is not None else None
+        if call is None:
+            try:
+                call = parse_trace_record(line, vocabs)
+            except TraceError as exc:
+                exc.line = lineno
+                exc.args = (f"{source_id} line {lineno}: {exc.args[0]}",)
+                raise
+            if memo is not None:
+                memo[line] = call
+        calls.append(call)
     return Trace(source_id=source_id, calls=calls)

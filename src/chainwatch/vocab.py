@@ -10,6 +10,7 @@ feature layout reserves for them.
 from __future__ import annotations
 
 import importlib.resources
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,6 +37,10 @@ CATEGORY_INDEX = {name: i for i, name in enumerate(CATEGORIES)}
 SCOPE_INDEX = {name: i for i, name in enumerate(SCOPES)}
 
 
+# Matches exactly the characters for which ``str.isspace`` is true.
+WHITESPACE = re.compile(r"\s")
+
+
 class VocabularyError(ValueError):
     """A vocabulary file is missing, malformed, or has the wrong size."""
 
@@ -46,7 +51,7 @@ def _read_identifier_file(path: Path) -> list[str]:
         line = raw.strip()
         if not line:
             continue
-        if any(ch.isspace() for ch in line):
+        if WHITESPACE.search(line):
             raise VocabularyError(
                 f"{path.name} line {lineno}: identifier contains whitespace: {line!r}"
             )

@@ -17,6 +17,11 @@ def child_env() -> dict[str, str]:
     return {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC_DIR)}
 
 
+def next_index(table, exploit_id: int) -> int:
+    """The index of the next template ``table`` waits on for ``exploit_id``."""
+    return int(table._cursors[table.db.positions[exploit_id]])
+
+
 # Filled in by tests/test_acceptance.py; printed after the run so the
 # verdict for every criterion shows up in one block.
 ACCEPTANCE_LINES: list[str] = []

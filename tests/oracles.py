@@ -4,13 +4,14 @@ Everything here is written from the behavioral contracts alone and avoids the
 production code paths: the chain matcher works on raw call equality instead of
 encoded vectors, the graph oracle enumerates simple paths with networkx, the
 reference encoder concatenates the documented blocks one by one, and the
-scalar helpers use plain Python arithmetic.  The reference monitor step shares
-only ``cosine()`` with the program, so it checks the step's bookkeeping and
-its precomputed norms, not the cosine formula itself.  The gradient check
-takes central differences of the program's own loss, so it checks the
-analytic backward pass against the forward one.  The reference training step
-shares only ``bce_loss`` with the program and writes its forward pass out of
-place, so it checks the step's forward pass and relu masks to the bit.
+scalar helpers use plain Python arithmetic.  The reference monitor step takes
+``cosine()`` from here, the program's formula written out on its own, so it
+checks the step's bookkeeping, its precomputed norms and its similarity bits.
+The gradient check takes central differences of the program's own loss, so it
+checks the analytic backward pass against the forward one.  The reference
+training step shares only ``bce_loss`` with the program and writes its forward
+pass out of place, so it checks the step's forward pass and relu masks to the
+bit.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import numpy as np
 from chainwatch.sdg import FLOW_LABELS, Sdg, VulnQuery, template_matches
 from chainwatch.encoder import tokenize_api_name
 from chainwatch.mlp import MlpModel, bce_loss, forward, loss_and_grads
-from chainwatch.monitor import cosine
 from chainwatch.trace import InstructionCall
 from chainwatch.vocab import CATEGORIES, SCOPES
 
@@ -56,6 +56,22 @@ class NaiveChainMatcher:
                 continue
             self.feed(call, offset)
         return self.alarms
+
+
+def cosine(a, b) -> float:
+    """Cosine similarity of two equal-length vectors; a zero norm maps to 0.0.
+
+    The quotient of one dot product by the two norms, clamped to [-1, 1]: the
+    arithmetic of ``StateTable.step``, so the two agree to the bit.
+    """
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError(f"cosine expects equal-length vectors, got {a.shape} and {b.shape}")
+    norm_a, norm_b = float(np.sqrt(a @ a)), float(np.sqrt(b @ b))
+    if norm_a == 0.0 or norm_b == 0.0:
+        return 0.0
+    return min(1.0, max(-1.0, float(a @ b) / (norm_a * norm_b)))
 
 
 def reference_step(db, cursors, candidates, x, trace_offset, threshold):

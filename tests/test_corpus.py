@@ -1,5 +1,6 @@
 import filecmp
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from chainwatch.corpus import (
     read_manifest,
     trigger_index,
 )
-from chainwatch.trace import InstructionCall
+from chainwatch.trace import InstructionCall, TraceError, parse_trace_record, read_trace
 
 from .synthgen import make_world
 
@@ -192,6 +193,94 @@ def test_build_xy(small_corpus, vocabs, encoder):
     assert x.shape == (n, 151)
     assert t.shape == (n, 79)
     np.testing.assert_array_equal(x[0], encoder.encode(items[0].trace.calls[0]))
+
+
+def _reference_xy(corpus_dir, split_name, encoder):
+    """X and T with no memo: one parse, one encoding and one label row per line."""
+    xs, label_sets = [], []
+    for path in sorted((corpus_dir / split_name).glob("trace_*.jsonl")):
+        for line in path.read_text().splitlines():
+            if line.strip():
+                xs.append(encoder.encode(parse_trace_record(line.strip(), encoder.vocabs)))
+        for line in path.with_suffix(".labels").read_text().splitlines():
+            label_sets.append(frozenset(int(p) for p in line.split(",") if p))
+    return np.stack(xs), label_rows(label_sets, 79)
+
+
+@pytest.mark.parametrize("split_name", ["train", "test"])
+def test_build_xy_equals_a_memo_free_reference(small_corpus, encoder, split_name):
+    out, manifest, db = small_corpus
+    x, t = build_xy(load_split(out, split_name, encoder.vocabs), encoder, 79)
+    ref_x, ref_t = _reference_xy(out, split_name, encoder)
+    for got, want in ((x, ref_x), (t, ref_t)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+
+def test_equal_lines_in_different_files_share_one_object(small_corpus, vocabs):
+    out, manifest, db = small_corpus
+    items = load_split(out, "train", vocabs)
+    seen_call, seen_labels, files = {}, {}, {}
+    for item in items:
+        path = out / f"{item.name}.jsonl"
+        lines = [line.strip() for line in path.read_text().splitlines() if line.strip()]
+        label_lines = path.with_suffix(".labels").read_text().splitlines()
+        for line, call in zip(lines, item.trace.calls, strict=True):
+            assert seen_call.setdefault(line, call) is call
+            files.setdefault(line, set()).add(item.name)
+        for line, labels in zip(label_lines, item.label_sets, strict=True):
+            assert seen_labels.setdefault(line, labels) is labels
+    assert max(len(names) for names in files.values()) > 1
+
+
+def _corpus_with_a_bad_later_file(small_corpus, tmp_path, bad_suffix, bad_line):
+    """A copy of ``small_corpus`` whose second train trace repeats the first
+    trace's lines and then, in its ``bad_suffix`` file, ends on ``bad_line``."""
+    out, manifest, db = small_corpus
+    shutil.copytree(out, tmp_path, dirs_exist_ok=True)
+    first, second = tmp_path / "train" / "trace_00000", tmp_path / "train" / "trace_00001"
+    for suffix in (".jsonl", ".labels"):
+        lines = first.with_suffix(suffix).read_text().splitlines()
+        lines.append(bad_line if suffix == bad_suffix else lines[-1])
+        second.with_suffix(suffix).write_text("\n".join(lines) + "\n")
+    return second.with_suffix(bad_suffix), len(lines)
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        "{bad",
+        '{"api_name":"a b","category":"phi","scope":"Application","package":"x",'
+        '"inputs":[],"outputs":[]}',
+        '{"api_name":"a","category":"phi","scope":"Application","package":"Lno/Such",'
+        '"inputs":[],"outputs":[]}',
+    ],
+)
+def test_bad_record_after_repeated_lines_fails_as_without_the_memo(
+    small_corpus, tmp_path, vocabs, bad_line
+):
+    path, lineno = _corpus_with_a_bad_later_file(small_corpus, tmp_path, ".jsonl", bad_line)
+    with pytest.raises(TraceError) as got:
+        load_split(tmp_path, "train", vocabs)
+    with open(path) as fh, pytest.raises(TraceError) as want:
+        read_trace(fh, vocabs, source_id="train/trace_00001")
+    assert str(got.value).startswith(f"train/trace_00001 line {lineno}: ")
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+    assert got.value.line == lineno
+
+
+@pytest.mark.parametrize("bad_line", ["79", "x", "1, ,2"])
+def test_bad_label_line_after_repeated_lines_fails_as_without_the_memo(
+    small_corpus, tmp_path, vocabs, bad_line
+):
+    path, lineno = _corpus_with_a_bad_later_file(small_corpus, tmp_path, ".labels", bad_line)
+    with pytest.raises(CorpusError) as got:
+        load_split(tmp_path, "train", vocabs)
+    with pytest.raises(CorpusError) as want:
+        read_labels(path)
+    assert str(got.value) == str(want.value)
+    assert f"trace_00001.labels line {lineno}: {bad_line.strip()!r}" in str(got.value)
 
 
 def test_generate_corpus_validation(tmp_path, small_world, encoder):

@@ -20,7 +20,7 @@ from chainwatch.mlp import init_model
 from chainwatch.monitor import StateTable
 from chainwatch.trace import Trace
 
-from .conftest import DATA_DIR, FIXTURES
+from .conftest import DATA_DIR, FIXTURES, next_index
 from .oracles import NaiveChainMatcher
 from .synthgen import mixed_trace
 
@@ -92,7 +92,7 @@ def test_empty_candidates_skip_monitor(sql_db, encoder):
     assert s.monitor_steps == 0
     assert s.comparisons == 0
     assert result.events == []
-    assert table.next_index(0) == 0
+    assert next_index(table, 0) == 0
 
 
 def test_halt_on_alarm(sql_db, encoder):
@@ -217,7 +217,7 @@ def test_shared_table_carries_state_across_traces(sql_db, encoder):
     table = StateTable(sql_db)
     first = detect_naive(Trace("a", templates[:2]), encoder, WhiteList(), sql_db, table=table)
     assert first.alarms == []
-    assert table.next_index(0) == 2
+    assert next_index(table, 0) == 2
     second = detect_naive(Trace("b", templates[2:]), encoder, WhiteList(), sql_db, table=table)
     assert len(second.alarms) == 1
     assert second.alarms[0].offset == 0  # offsets are per-trace

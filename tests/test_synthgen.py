@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from chainwatch.fingerprints import load_fingerprints
-from chainwatch.monitor import cosine
 from chainwatch.sdg import load_sdg, lower_fingerprint, match_query
 from chainwatch.trace import parse_trace_record
 
+from .oracles import cosine
 from .synthgen import SynthError, make_world, mixed_trace
 
 

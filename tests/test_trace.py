@@ -141,6 +141,43 @@ def test_read_trace_skips_blank_lines_and_numbers_errors(vocabs):
     assert str(ei.value).startswith("t.jsonl line 4:")
 
 
+@pytest.mark.parametrize("space", [" ", "\t", "\x1c", "\x1f", "\x85", "\xa0", "\u3000"])
+def test_api_name_with_whitespace_rejected(vocabs, space):
+    obj = json.loads(GOOD_LINE)
+    obj["api_name"] = f"read{space}Line"
+    with pytest.raises(MalformedRecord, match="api_name contains whitespace"):
+        parse_trace_record(json.dumps(obj), vocabs)
+
+
+def test_api_name_with_a_zero_width_space_accepted(vocabs):
+    obj = json.loads(GOOD_LINE)
+    obj["api_name"] = "read\u200bLine"
+    assert parse_trace_record(json.dumps(obj), vocabs).api_name == "read\u200bLine"
+
+
+def test_read_trace_with_a_memo_parses_each_distinct_line_once(vocabs, monkeypatch):
+    from chainwatch import trace as trace_mod
+
+    parsed = []
+    parse = trace_mod.parse_trace_record
+    monkeypatch.setattr(
+        trace_mod, "parse_trace_record", lambda line, v: parsed.append(line) or parse(line, v)
+    )
+    other = GOOD_LINE.replace("readLine", "readAll")
+    memo = {}
+    first = read_trace(io.StringIO(f"{GOOD_LINE}\n {GOOD_LINE}\n\n{other}\n"), vocabs, memo=memo)
+    second = read_trace(io.StringIO(f"{other}\n{GOOD_LINE}\n"), vocabs, memo=memo)
+    assert parsed == [GOOD_LINE, other]
+    assert memo == {GOOD_LINE: first.calls[0], other: first.calls[2]}
+    assert first.calls[0] is first.calls[1] is second.calls[1]
+    plain = read_trace(io.StringIO(f"{GOOD_LINE}\n{GOOD_LINE}\n{other}\n"), vocabs)
+    assert first.calls == plain.calls
+    with pytest.raises(MalformedRecord) as ei:
+        read_trace(io.StringIO(f"{GOOD_LINE}\n{other}\n{{bad\n"), vocabs, source_id="t", memo=memo)
+    assert str(ei.value).startswith("t line 3: invalid JSON")
+    assert set(memo) == {GOOD_LINE, other}
+
+
 def test_read_write_round_trip(vocabs):
     stream = io.StringIO(GOOD_LINE + "\n" + GOOD_LINE + "\n")
     trace = read_trace(stream, vocabs, source_id="x")

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from chainwatch.vocab import (
@@ -6,6 +8,7 @@ from chainwatch.vocab import (
     N_IO_TYPES,
     N_PACKAGES,
     SCOPES,
+    WHITESPACE,
     Vocabularies,
     VocabularyError,
     load_vocabularies,
@@ -65,4 +68,24 @@ def test_whitespace_identifier_rejected(tmp_path):
     (tmp_path / "packages.txt").write_text("ok\nhas space\n" + "".join(f"p{i}\n" for i in range(20)))
     (tmp_path / "io_types.txt").write_text("".join(f"t{i}\n" for i in range(24)))
     with pytest.raises(VocabularyError, match="whitespace"):
+        load_vocabularies(tmp_path)
+
+
+def test_whitespace_pattern_is_isspace_on_every_code_point():
+    """The one pattern both readers test identifiers with flags exactly the
+    characters ``str.isspace`` does, separators such as \\x1c-\\x1f, \\x85 and
+    \\xa0 included."""
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    flagged = [m.start() for m in WHITESPACE.finditer(every)]
+    assert flagged == [i for i, ch in enumerate(every) if ch.isspace()]
+    assert {0x1C, 0x1F, 0x20, 0x85, 0xA0, 0x3000} <= set(flagged)
+    assert 0x200B not in flagged  # zero-width space is not whitespace
+
+
+# \x1c-\x1e and \x85 end a line for ``str.splitlines``, so they cannot sit inside one.
+@pytest.mark.parametrize("space", [" ", "\t", "\x1f", "\xa0", "\u3000"])
+def test_identifier_with_any_whitespace_rejected(tmp_path, space):
+    (tmp_path / "packages.txt").write_text(f"o{space}k\n" + "".join(f"p{i}\n" for i in range(21)))
+    (tmp_path / "io_types.txt").write_text("".join(f"t{i}\n" for i in range(24)))
+    with pytest.raises(VocabularyError, match="packages.txt line 1: identifier contains white"):
         load_vocabularies(tmp_path)
