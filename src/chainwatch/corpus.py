@@ -221,18 +221,17 @@ def read_labels(
 ) -> list[frozenset[int]]:
     """One set of label ids in ``[0, mlp.N_LABELS)`` per line of a ``.labels`` file.
 
-    ``memo`` maps label lines to their sets.  With one, only lines not in it
-    are checked and added, as ``trace.read_trace`` does with record lines.
-    ``load_split`` passes one that lasts for one split load and holds one
-    entry per distinct line; ``eval --predictions`` reads without one.
+    Each distinct line is checked once and equal lines share one set.
+    ``memo`` maps label lines to their sets; without one, a dict lasts for
+    this call.  ``load_split`` passes one that lasts for one split load and
+    holds one entry per distinct line.
     """
+    memo = {} if memo is None else memo
     sets = []
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        labels = memo.get(raw) if memo is not None else None
+        labels = memo.get(raw)
         if labels is None:
-            labels = _label_set(raw, path, lineno)
-            if memo is not None:
-                memo[raw] = labels
+            labels = memo[raw] = _label_set(raw, path, lineno)
         sets.append(labels)
     return sets
 
