@@ -28,7 +28,7 @@ import numpy as np
 
 from . import mlp
 from .encoder import FeatureEncoder
-from .engine import EngineConfig, detect, detect_naive
+from .engine import detect, detect_naive
 from .fingerprints import FingerprintDb, WhiteList
 from .trace import Trace
 
@@ -162,24 +162,17 @@ def run_bench(
     whitelist: WhiteList,
     db: FingerprintDb,
     model: mlp.MlpModel,
-    config: EngineConfig | None = None,
     repetitions: int = 3,
 ) -> BenchReport:
+    """Both modes at the default ``EngineConfig``, the CLI's defaults."""
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    config = config if config is not None else EngineConfig()
 
     engine = _measure(
-        traces,
-        whitelist,
-        lambda trace, wl: detect(trace, encoder, wl, db, model, config),
-        repetitions,
+        traces, whitelist, lambda trace, wl: detect(trace, encoder, wl, db, model), repetitions
     )
     naive = _measure(
-        traces,
-        whitelist,
-        lambda trace, wl: detect_naive(trace, encoder, wl, db, config),
-        repetitions,
+        traces, whitelist, lambda trace, wl: detect_naive(trace, encoder, wl, db), repetitions
     )
 
     missed = len(naive.alarm_keys - engine.alarm_keys)

@@ -37,7 +37,7 @@ from .engine import (
 from .fingerprints import WhiteList, load_fingerprints
 from .monitor import DEFAULT_COSINE_THRESHOLD
 from .trace import read_trace
-from .vocab import vocabulary_files
+from .vocab import open_text, vocabulary_files
 
 _DATA = Path(__file__).parent / "data"
 DEFAULT_WHITELIST = _DATA / "fixtures" / "whitelist.txt"
@@ -49,7 +49,8 @@ def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -
     if path is None:
         return
     try:
-        config = json.loads(Path(path).read_text())
+        with open_text(path) as fh:
+            config = json.load(fh)
     except json.JSONDecodeError as exc:
         raise click.BadParameter(f"{path}: {exc}", ctx, param)
     if not isinstance(config, dict):
@@ -79,8 +80,11 @@ def _refuse_to_overwrite(out: str, embeddings: str | None, vocab_dir: str | None
 
 
 def _read_trace(path: str, encoder: FeatureEncoder):
-    with click.open_file(path) as fh:
-        return read_trace(fh, encoder.vocabs, source_id="<stdin>" if path == "-" else path)
+    """TRACE as UTF-8 from a path; '-' reads stdin in the interpreter's encoding."""
+    if path == "-":
+        return read_trace(click.get_text_stream("stdin"), encoder.vocabs, source_id="<stdin>")
+    with open_text(path) as fh:
+        return read_trace(fh, encoder.vocabs, source_id=path)
 
 
 _config_opt = click.option("--config", envvar="CHAINWATCH_CONFIG", show_envvar=True,
@@ -191,22 +195,23 @@ def _emit_detection(ctx, result, out):
         ctx.exit(2)
 
 
-@cli.command()
-@click.argument("trace", default="-")
-@_config_opt
-@_embeddings_opt
-@_vocab_opt
-@_fingerprints_opt()
-@_whitelist_opt
-@_model_opt()
-@_threshold_classify_opt
-@_threshold_cosine_opt
-@_halt_opt
-@_alarm_out_opt
-@click.pass_context
-def detect(ctx, trace, embeddings, vocab_dir, fingerprints, whitelist, model,
-           threshold_classify, threshold_cosine, halt_on_alarm, out):
-    """Scan TRACE with the classifier-filtered engine; alarms as JSON lines."""
+def _scan_options(*classifier_opts):
+    """The options of ``detect`` and ``detect-naive``, with ``classifier_opts``
+    in the place that ``detect`` gives its model options."""
+    def apply(fn):
+        for opt in reversed((
+            click.argument("trace", default="-"), _config_opt, _embeddings_opt, _vocab_opt,
+            _fingerprints_opt(), _whitelist_opt, *classifier_opts, _threshold_cosine_opt,
+            _halt_opt, _alarm_out_opt, click.pass_context,
+        )):
+            fn = opt(fn)
+        return fn
+    return apply
+
+
+def _scan(ctx, trace, embeddings, vocab_dir, fingerprints, whitelist, threshold_cosine,
+          halt_on_alarm, out, model=None, threshold_classify=DEFAULT_CLASSIFY_THRESHOLD):
+    """The body of both detection commands; without ``model``, the naive scan."""
     _refuse_to_overwrite(out, embeddings, vocab_dir, {
         "TRACE": trace, "--model": model, "--fingerprints": fingerprints,
         "--whitelist": whitelist,
@@ -217,35 +222,25 @@ def detect(ctx, trace, embeddings, vocab_dir, fingerprints, whitelist, model,
     parsed = _read_trace(trace, encoder)
     engine_cfg = EngineConfig(threshold_classify=threshold_classify,
                               threshold_cosine=threshold_cosine, halt_on_alarm=halt_on_alarm)
-    classifier = mlp.load_model(model)
-    result = run_engine_detect(parsed, encoder, wl, db, classifier, engine_cfg)
+    if model is None:
+        result = run_engine_naive(parsed, encoder, wl, db, engine_cfg)
+    else:
+        result = run_engine_detect(parsed, encoder, wl, db, mlp.load_model(model), engine_cfg)
     _emit_detection(ctx, result, out)
+
+
+@cli.command()
+@_scan_options(_model_opt(), _threshold_classify_opt)
+def detect(ctx, **opts):
+    """Scan TRACE with the classifier-filtered engine; alarms as JSON lines."""
+    _scan(ctx, **opts)
 
 
 @cli.command(name="detect-naive")
-@click.argument("trace", default="-")
-@_config_opt
-@_embeddings_opt
-@_vocab_opt
-@_fingerprints_opt()
-@_whitelist_opt
-@_threshold_cosine_opt
-@_halt_opt
-@_alarm_out_opt
-@click.pass_context
-def detect_naive(ctx, trace, embeddings, vocab_dir, fingerprints, whitelist,
-                 threshold_cosine, halt_on_alarm, out):
+@_scan_options()
+def detect_naive(ctx, **opts):
     """Scan TRACE comparing every stored exploit on every call (no classifier)."""
-    _refuse_to_overwrite(out, embeddings, vocab_dir, {
-        "TRACE": trace, "--fingerprints": fingerprints, "--whitelist": whitelist,
-    })
-    encoder = FeatureEncoder.from_paths(embeddings, vocab_dir)
-    db = load_fingerprints(fingerprints, encoder)
-    wl = WhiteList.from_file(whitelist)
-    parsed = _read_trace(trace, encoder)
-    engine_cfg = EngineConfig(threshold_cosine=threshold_cosine, halt_on_alarm=halt_on_alarm)
-    result = run_engine_naive(parsed, encoder, wl, db, engine_cfg)
-    _emit_detection(ctx, result, out)
+    _scan(ctx, **opts)
 
 
 @cli.command(name="gen-dataset")
@@ -273,7 +268,7 @@ def gen_dataset(seed, embeddings, vocab_dir, fingerprints, sdg, out, benign_pool
     encoder = FeatureEncoder.from_paths(embeddings, vocab_dir)
     db = load_fingerprints(fingerprints, encoder)
     graph = sdg_mod.load_sdg(sdg, encoder.vocabs)
-    with open(benign_pool) as fh:
+    with open_text(benign_pool) as fh:
         pool = tuple(read_trace(fh, encoder.vocabs, source_id=benign_pool).calls)
     sequences = {}
     for eid in db.exploit_ids:

@@ -21,7 +21,7 @@ from .fingerprints import FingerprintDb
 from .mlp import N_LABELS
 from .sdg import match_key
 from .trace import InstructionCall, Trace, read_trace, serialize_trace_record
-from .vocab import Vocabularies
+from .vocab import Vocabularies, open_text
 
 MANIFEST_NAME = "corpus.json"
 MANIFEST_VERSION = 1
@@ -204,7 +204,11 @@ def read_manifest(corpus_dir: str | Path) -> dict:
     path = Path(corpus_dir) / MANIFEST_NAME
     if not path.is_file():
         raise CorpusError(f"missing manifest: {path}")
-    manifest = json.loads(path.read_text())
+    try:
+        with open_text(path) as fh:
+            manifest = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise CorpusError(f"{path}: {exc}") from exc
     if not isinstance(manifest, dict):
         raise CorpusError(f"{path}: expected a JSON object")
     for key, want in (("version", MANIFEST_VERSION), ("n_labels", N_LABELS)):
@@ -221,23 +225,25 @@ def read_labels(
 ) -> list[frozenset[int]]:
     """One set of label ids in ``[0, mlp.N_LABELS)`` per line of a ``.labels`` file.
 
-    Each distinct line is checked once and equal lines share one set.
-    ``memo`` maps label lines to their sets; without one, a dict lasts for
-    this call.  ``load_split`` passes one that lasts for one split load and
-    holds one entry per distinct line.
+    A blank line is the empty set, so unlike the other formats, blank lines
+    count.  Each distinct stripped line is checked once and equal lines
+    share one set.  ``memo`` maps stripped lines to their sets; without one,
+    a dict lasts for this call.  ``load_split`` passes one that lasts for one
+    split load and holds one entry per distinct line.
     """
     memo = {} if memo is None else memo
     sets = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        labels = memo.get(raw)
-        if labels is None:
-            labels = memo[raw] = _label_set(raw, path, lineno)
-        sets.append(labels)
+    with open_text(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            labels = memo.get(line)
+            if labels is None:
+                labels = memo[line] = _label_set(line, path, lineno)
+            sets.append(labels)
     return sets
 
 
-def _label_set(raw: str, path: Path, lineno: int) -> frozenset[int]:
-    line = raw.strip()
+def _label_set(line: str, path: Path, lineno: int) -> frozenset[int]:
     try:
         labels = frozenset(int(p) for p in line.split(",") if p) if line else frozenset()
     except ValueError:
@@ -271,7 +277,7 @@ def load_split(
     items = []
     for trace_path in sorted(sub.glob("trace_*.jsonl")):
         key = f"{split_name}/{trace_path.stem}"
-        with open(trace_path) as fh:
+        with open_text(trace_path) as fh:
             trace = read_trace(fh, vocabs, source_id=key, memo=calls)
         label_sets = read_labels(trace_path.with_suffix(".labels"), memo=labels)
         if len(label_sets) != len(trace):

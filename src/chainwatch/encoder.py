@@ -30,6 +30,8 @@ from .vocab import (
     N_SCOPES,
     SCOPE_INDEX,
     Vocabularies,
+    numbered_lines,
+    open_text,
 )
 
 EMBED_DIM = 10
@@ -105,22 +107,20 @@ class EmbeddingTable:
     @classmethod
     def from_file(cls, path: str | Path) -> "EmbeddingTable":
         vectors: dict[str, np.ndarray] = {}
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 1 + EMBED_DIM:
-                raise EmbeddingError(
-                    f"{path} line {lineno}: expected token + {EMBED_DIM} floats, got {len(parts)} fields"
-                )
-            token = parts[0]
-            if token in vectors:
-                raise EmbeddingError(f"{path} line {lineno}: duplicate token {token!r}")
-            try:
-                vectors[token] = np.array([float(p) for p in parts[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise EmbeddingError(f"{path} line {lineno}: bad float: {exc}") from exc
+        with open_text(path) as fh:
+            for lineno, line in numbered_lines(fh):
+                parts = line.split()
+                if len(parts) != 1 + EMBED_DIM:
+                    raise EmbeddingError(
+                        f"{path} line {lineno}: expected token + {EMBED_DIM} floats, got {len(parts)} fields"
+                    )
+                token = parts[0]
+                if token in vectors:
+                    raise EmbeddingError(f"{path} line {lineno}: duplicate token {token!r}")
+                try:
+                    vectors[token] = np.array([float(p) for p in parts[1:]], dtype=np.float64)
+                except ValueError as exc:
+                    raise EmbeddingError(f"{path} line {lineno}: bad float: {exc}") from exc
         return cls(vectors)
 
     def lookup(self, token: str) -> np.ndarray:

@@ -93,31 +93,26 @@ def classifier_candidates(model: mlp.MlpModel, db: FingerprintDb, threshold: flo
     return nominate
 
 
-def full_candidates(db: FingerprintDb) -> CandidateFn:
-    every = frozenset(db.exploit_ids)
-    return lambda x: every
-
-
 def run_detection(
     trace: Trace | Iterable[InstructionCall],
     encoder: FeatureEncoder,
     whitelist: WhiteList,
     table: StateTable,
-    candidate_fn: CandidateFn,
+    candidate_fn: CandidateFn | None,
     config: EngineConfig,
-    count_classifier: bool = True,
     keep_events: bool = False,
 ) -> DetectionResult:
     """Run the pipeline over one trace against an existing state table.
 
     ``trace`` is iterated once, a call at a time, so a generator of calls is
     never held whole.
-    ``candidate_fn`` returns a set; each member is one comparison.
-    ``count_classifier`` is False in naive mode, where the fixed full
-    candidate set involves no classifier invocation.  ``keep_events`` keeps
-    every ``MonitorEvent`` in ``DetectionResult.events``, one per comparison;
-    otherwise ``events`` stays empty and the state table builds only the
-    matches.  Alarms and the summary are the same either way.
+    ``candidate_fn`` returns a set; each member is one comparison, and each
+    call to it is one classifier invocation.  ``None`` is naive mode: every
+    exploit in the table's database is a candidate on every call, and the
+    classifier is never invoked.
+    ``keep_events`` keeps every ``MonitorEvent`` in ``DetectionResult.events``,
+    one per comparison; otherwise ``events`` stays empty and the state table
+    builds only the matches.  Alarms and the summary are the same either way.
     """
     tid = trace.source_id if isinstance(trace, Trace) else "<calls>"
 
@@ -125,6 +120,7 @@ def run_detection(
     alarms: list[AlarmRecord] = []
     events: list[MonitorEvent] = []
     alarm, no_match = EventKind.ALARM, EventKind.NO_MATCH
+    every = frozenset(table.db.exploit_ids) if candidate_fn is None else None
 
     for offset, call in enumerate(trace):
         summary.total_calls += 1
@@ -133,9 +129,11 @@ def run_detection(
             continue
         x = encoder.encode(call)
         summary.encoded_calls += 1
-        if count_classifier:
+        if candidate_fn is None:
+            candidates = every
+        else:
             summary.classifier_invocations += 1
-        candidates = candidate_fn(x)
+            candidates = candidate_fn(x)
         if not candidates:
             continue
         step_events = table.step(
@@ -201,7 +199,4 @@ def detect_naive(
     """Exhaustive detection: every stored exploit is a candidate on every call."""
     config = config if config is not None else EngineConfig()
     table = table if table is not None else StateTable(db)
-    return run_detection(
-        trace, encoder, whitelist, table, full_candidates(db), config,
-        count_classifier=False, keep_events=keep_events,
-    )
+    return run_detection(trace, encoder, whitelist, table, None, config, keep_events=keep_events)

@@ -15,7 +15,6 @@ The monitor compares against these pre-encoded rows.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,6 +26,7 @@ import numpy as np
 from .encoder import VECTOR_DIM, FeatureEncoder
 from .mlp import N_LABELS
 from .trace import InstructionCall, TraceError, call_from_record
+from .vocab import json_objects, numbered_lines, open_text
 
 ROLE_SOURCE = "source"
 ROLE_SINK = "sink"
@@ -183,18 +183,7 @@ def load_fingerprints(path: str | Path, encoder: FeatureEncoder) -> FingerprintD
         )
         fingerprints[fp.exploit_id] = fp
 
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        where = f"{path} line {lineno}"
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FingerprintError(f"{where}: invalid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise FingerprintError(f"{where}: expected a JSON object")
-
+    for where, obj in json_objects(path, FingerprintError):
         if "exploit_id" in obj:
             finish(current)
             exploit_id, cwe_id, label = _parse_header(obj, where)
@@ -239,9 +228,5 @@ class WhiteList:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "WhiteList":
-        names = []
-        for raw in Path(path).read_text().splitlines():
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                names.append(line)
-        return cls(names)
+        with open_text(path) as fh:
+            return cls(line for _, line in numbered_lines(fh) if not line.startswith("#"))

@@ -22,14 +22,13 @@ possible.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
 from .fingerprints import Fingerprint
 from .trace import InstructionCall, TraceError, call_from_record
-from .vocab import Vocabularies
+from .vocab import Vocabularies, json_objects
 
 NODE_KINDS = ("statement", "entry", "actual_in", "formal_in", "formal_out", "actual_out")
 EDGE_LABELS = ("control", "data", "call", "param_in", "param_out")
@@ -84,20 +83,9 @@ class Sdg:
 def load_sdg(path: str | Path, vocabs: Vocabularies) -> Sdg:
     path = Path(path)
     nodes: dict[int, SdgNode] = {}
-    raw_edges: list[tuple[int, int, str, int]] = []
+    raw_edges: list[tuple[int, int, str, str]] = []
 
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        where = f"{path} line {lineno}"
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SdgError(f"{where}: invalid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise SdgError(f"{where}: expected a JSON object")
-
+    for where, obj in json_objects(path, SdgError):
         if "node" in obj:
             node_id = obj["node"]
             if not isinstance(node_id, int) or isinstance(node_id, bool):
@@ -133,13 +121,12 @@ def load_sdg(path: str | Path, vocabs: Vocabularies) -> Sdg:
             unknown = set(obj) - {"edge", "label"}
             if unknown:
                 raise SdgError(f"{where}: unexpected edge key(s): {sorted(unknown)}")
-            raw_edges.append((pair[0], pair[1], label, lineno))
+            raw_edges.append((pair[0], pair[1], label, where))
         else:
             raise SdgError(f"{where}: line is neither a node nor an edge")
 
     edges = []
-    for src, dst, label, lineno in raw_edges:
-        where = f"{path} line {lineno}"
+    for src, dst, label, where in raw_edges:
         if src not in nodes or dst not in nodes:
             raise DanglingEdge(f"{where}: edge ({src}, {dst}) references an unknown node")
         rule = _ENDPOINT_RULES.get(label)

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator
 
-from .vocab import CATEGORY_INDEX, SCOPE_INDEX, WHITESPACE, Vocabularies
+from .vocab import CATEGORY_INDEX, SCOPE_INDEX, WHITESPACE, Vocabularies, numbered_lines
 
 RECORD_FIELDS = ("api_name", "category", "scope", "package", "inputs", "outputs")
 
@@ -186,10 +186,7 @@ def read_trace(
     keeps no cache across traces.
     """
     calls = []
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line:
-            continue
+    for lineno, line in numbered_lines(stream):
         call = memo.get(line) if memo is not None else None
         if call is None:
             try:

@@ -3,16 +3,23 @@
 Categories and scopes are closed sets baked into the feature layout, so they
 live here as module constants.  Package and I/O-type vocabularies are
 deployment data: they are loaded from plain text files (one identifier per
-line, line number = index) and must contain exactly the number of entries the
-feature layout reserves for them.
+non-blank line, in index order) and must contain exactly the number of entries
+the feature layout reserves for them.
+
+Every reader of a text file goes through the helpers here, since this is the
+lowest module they all import: :func:`open_text` decodes a file the one way
+``docs/formats.md`` documents, :func:`numbered_lines` numbers and strips its
+lines, and :func:`json_objects` reads the JSON-lines formats.
 """
 
 from __future__ import annotations
 
 import importlib.resources
+import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import IO, Iterable, Iterator
 
 CATEGORIES = (
     "binaryop",
@@ -41,21 +48,53 @@ SCOPE_INDEX = {name: i for i, name in enumerate(SCOPES)}
 WHITESPACE = re.compile(r"\s")
 
 
+def open_text(path: str | Path) -> IO[str]:
+    """Open ``path`` for reading as UTF-8 text.
+
+    Lines end only at ``\\n``, ``\\r\\n`` or ``\\r``, whatever the locale.
+    """
+    return open(path, encoding="utf-8")
+
+
+def numbered_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """``(line number, stripped line)`` for each non-blank line, from 1."""
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line:
+            yield lineno, line
+
+
+def json_objects(path: str | Path, error: type[Exception]) -> Iterator[tuple[str, dict]]:
+    """``(where, object)`` for each non-blank line of a JSON-lines file.
+
+    ``where`` is ``"{path} line {n}"``; a line that is not a JSON object
+    raises ``error`` with it.
+    """
+    with open_text(path) as fh:
+        for lineno, line in numbered_lines(fh):
+            where = f"{path} line {lineno}"
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise error(f"{where}: invalid JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise error(f"{where}: expected a JSON object")
+            yield where, obj
+
+
 class VocabularyError(ValueError):
     """A vocabulary file is missing, malformed, or has the wrong size."""
 
 
 def _read_identifier_file(path: Path) -> list[str]:
     entries = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if WHITESPACE.search(line):
-            raise VocabularyError(
-                f"{path.name} line {lineno}: identifier contains whitespace: {line!r}"
-            )
-        entries.append(line)
+    with open_text(path) as fh:
+        for lineno, line in numbered_lines(fh):
+            if WHITESPACE.search(line):
+                raise VocabularyError(
+                    f"{path.name} line {lineno}: identifier contains whitespace: {line!r}"
+                )
+            entries.append(line)
     return entries
 
 

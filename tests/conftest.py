@@ -11,10 +11,10 @@ DATA_DIR = SRC_DIR / "chainwatch" / "data"
 FIXTURES = DATA_DIR / "fixtures"
 
 
-def child_env() -> dict[str, str]:
-    """Scrubbed environment for a child interpreter that imports chainwatch
-    from this checkout, installed or not."""
-    return {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC_DIR)}
+def child_env(**extra: str) -> dict[str, str]:
+    """Scrubbed environment, plus ``extra``, for a child interpreter that
+    imports chainwatch from this checkout, installed or not."""
+    return {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC_DIR), **extra}
 
 
 def next_index(table, exploit_id: int) -> int:

@@ -30,7 +30,6 @@ from chainwatch.engine import (
     EngineConfig,
     detect,
     detect_naive,
-    full_candidates,
     run_detection,
 )
 from chainwatch.bench import run_bench
@@ -182,10 +181,7 @@ def test_criterion_3_oracle_equivalence(encoder, whitelist):
         db = world.db(encoder)
         length = int(rng.integers(50, 201))
         trace = mixed_trace(world, rng, length=length, plant=min(3, n))
-        res = run_detection(
-            trace, encoder, whitelist, StateTable(db), full_candidates(db),
-            EngineConfig(), count_classifier=False,
-        )
+        res = run_detection(trace, encoder, whitelist, StateTable(db), None, EngineConfig())
         got = {(a.exploit_id, a.offset) for a in res.alarms}
         skip = frozenset(c.api_name for c in trace if c.api_name in whitelist)
         want = set(NaiveChainMatcher(world.chains).run(trace, skip_names=skip))

@@ -432,6 +432,14 @@ def test_incomplete_manifest_exit_1(cli_corpus, cli_model, tmp_path, capsys, com
     assert key in _one_error_line(capsys.readouterr().err)
 
 
+def test_corrupt_manifest_exit_1_names_it(tmp_path, capsys):
+    (tmp_path / "corpus.json").write_text("{bad\n")
+    rc = main(["eval", "--corpus", str(tmp_path)])
+    assert rc == 1
+    error = _one_error_line(capsys.readouterr().err)
+    assert error.startswith(f"Error: {tmp_path / 'corpus.json'}: Expecting property name")
+
+
 class TestEval:
     def test_model_eval_perfect_on_test_split(self, cli_corpus, cli_model, world_files, capsys):
         rc = main([
@@ -594,6 +602,28 @@ def test_module_entry_point():
     assert out.returncode == 0, out.stderr
     for sub in SUBCOMMANDS:
         assert sub in out.stdout
+
+
+def test_trace_is_read_as_utf8_in_any_locale(tmp_path):
+    """A UTF-8 trace reads the same under the C locale, whose encoding is
+    ASCII, as under C.utf8."""
+    call = {"api_name": "readLine\u00e9", "category": "invokevirtual", "scope": "Application",
+            "package": "Ljava/io/BufferedReader", "inputs": [], "outputs": ["String"]}
+    trace = tmp_path / "t.jsonl"
+    trace.write_text(json.dumps(call, ensure_ascii=False) + "\n", encoding="utf-8")
+    summaries = []
+    for locale in ("C", "C.utf8"):
+        out = subprocess.run(
+            [sys.executable, "-m", "chainwatch", "detect-naive", str(trace),
+             "--fingerprints", str(FIXTURES / "sqlinj.fp")],
+            capture_output=True,
+            text=True,
+            env=child_env(LC_ALL=locale, PYTHONUTF8="0"),
+        )
+        assert out.returncode == 0, out.stderr
+        summaries.append(json.loads(out.stderr))
+    assert summaries[0] == summaries[1]
+    assert summaries[0]["encoded_calls"] == 1
 
 
 def test_cli_loads_every_package_module():

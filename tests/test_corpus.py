@@ -334,6 +334,19 @@ def test_read_labels(tmp_path):
     assert read_labels(path) == [frozenset(), {0}, {3, 78}, {5, 6}]
 
 
+def test_read_labels_splits_only_at_line_ends(tmp_path):
+    """A form feed is whitespace to strip, not a line end, and a line
+    separator inside a line makes it a bad line, named with its file."""
+    path = tmp_path / "t.labels"
+    path.write_text("1\n2\x0c\n", encoding="utf-8")
+    assert read_labels(path) == [{1}, {2}]
+    line = "2\u20283"
+    path.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError) as err:
+        read_labels(path)
+    assert f"t.labels line 1: {line!r} is not a list of ids" in str(err.value)
+
+
 @pytest.mark.parametrize("line", ["-1", "79", "2,79", "x", "1.5", "1, ,2"])
 def test_read_labels_rejects_ids_outside_the_label_space(tmp_path, line):
     path = tmp_path / "t.labels"

@@ -12,7 +12,6 @@ from chainwatch.engine import (
     classifier_candidates,
     detect,
     detect_naive,
-    full_candidates,
     run_detection,
 )
 from chainwatch.fingerprints import WhiteList, load_fingerprints
@@ -167,11 +166,6 @@ def test_classifier_candidates_intersects_db(sql_db):
     # zero vector gives probability exactly 0.5 on every label -> all predicted
     got = nominate(np.zeros(151))
     assert got == frozenset({0})  # only exploit 0 is stored
-
-
-def test_full_candidates(small_db):
-    every = full_candidates(small_db)
-    assert every(np.zeros(151)) == frozenset(small_db.exploit_ids)
 
 
 def test_detect_with_model_smoke(sql_db, encoder):

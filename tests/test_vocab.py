@@ -82,10 +82,14 @@ def test_whitespace_pattern_is_isspace_on_every_code_point():
     assert 0x200B not in flagged  # zero-width space is not whitespace
 
 
-# \x1c-\x1e and \x85 end a line for ``str.splitlines``, so they cannot sit inside one.
-@pytest.mark.parametrize("space", [" ", "\t", "\x1f", "\xa0", "\u3000"])
+@pytest.mark.parametrize(
+    "space",
+    [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
+     "\u2028", "\u2029", "\u3000"],
+)
 def test_identifier_with_any_whitespace_rejected(tmp_path, space):
-    (tmp_path / "packages.txt").write_text(f"o{space}k\n" + "".join(f"p{i}\n" for i in range(21)))
+    packages = f"o{space}k\n" + "".join(f"p{i}\n" for i in range(21))
+    (tmp_path / "packages.txt").write_text(packages, encoding="utf-8")
     (tmp_path / "io_types.txt").write_text("".join(f"t{i}\n" for i in range(24)))
     with pytest.raises(VocabularyError, match="packages.txt line 1: identifier contains white"):
         load_vocabularies(tmp_path)
