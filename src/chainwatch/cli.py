@@ -175,6 +175,7 @@ def train(seed, embeddings, vocab_dir, corpus, out, epochs, lr, batch_size):
     click.echo(json.dumps({
         "model": str(out),
         "examples": int(x.shape[0]),
+        "distinct_rows": report.distinct_rows,
         "traces": len(items),
         "epochs": train_cfg.epochs,
         "learning_rate": train_cfg.learning_rate,

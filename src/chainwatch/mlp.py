@@ -211,8 +211,18 @@ def nominator(model: MlpModel, threshold: float):
 
 
 def _bce_terms(y: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The per-element terms whose negated mean is :func:`bce_loss`."""
+    """The per-element terms whose negated mean is :func:`bce_loss`.
+
+    The terms are ``t log(y) + (1 - t) log(1 - y)`` over the clamped ``y``.
+    When every target is 0 or 1 they are computed as one ``log`` of ``y`` or
+    ``1 - y``, bit-equal to the sum: the clamp keeps both logs finite and
+    nonzero, so the dropped term is a signed zero and adding it changes
+    nothing.
+    """
     y = np.clip(y, _LOSS_CLAMP, 1.0 - _LOSS_CLAMP)
+    ones = t == 1.0
+    if np.count_nonzero(ones) + np.count_nonzero(t == 0.0) == t.size:
+        return np.log(np.where(ones, y, 1.0 - y))
     return t * np.log(y) + (1.0 - t) * np.log(1.0 - y)
 
 
@@ -227,28 +237,32 @@ def loss_and_grads(model: MlpModel, x: np.ndarray, t: np.ndarray):
 
     The gradient uses the usual logistic/cross-entropy cancellation, which is
     exact wherever the clamp in :func:`bce_loss` is inactive.  The relu masks
-    are ``h > 0``, which equals ``z > 0`` for ``h = max(z, 0)``.
+    are ``h > 0``, which equals ``z > 0`` for ``h = max(z, 0)``, applied in
+    place on each layer's fresh gradient array.
     """
     x = np.asarray(x, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
     n = x.shape[0]
     h1, h2, z = _layers(model, x)
     y = _sigmoid_stable(z)
+    loss = bce_loss(y, t)
 
-    dz3 = (y - t) / (n * N_LABELS)
+    dz3 = y
+    dz3 -= t
+    dz3 /= n * N_LABELS
     dw3 = dz3.T @ h2
     db3 = dz3.sum(axis=0)
-    dh2 = dz3 @ model.w3
-    dz2 = dh2 * (h2 > 0.0)
+    dz2 = dz3 @ model.w3
+    dz2 *= h2 > 0.0
     dw2 = dz2.T @ h1
     db2 = dz2.sum(axis=0)
-    dh1 = dz2 @ model.w2
-    dz1 = dh1 * (h1 > 0.0)
+    dz1 = dz2 @ model.w2
+    dz1 *= h1 > 0.0
     dw1 = dz1.T @ x
     db1 = dz1.sum(axis=0)
 
     grads = {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2, "w3": dw3, "b3": db3}
-    return bce_loss(y, t), grads
+    return loss, grads
 
 
 @dataclass
@@ -270,22 +284,67 @@ class TrainReport:
     initial_loss: float
     final_loss: float
     epoch_losses: list[float] = field(default_factory=list)
+    # Distinct (input, target) row pairs; None when there are more than 2,048.
+    distinct_rows: int | None = None
 
 
 _LOSS_CHUNK_ROWS = 512
+# Numbering gives up past this many distinct pairs, which bounds its keys
+# (1,840 bytes each) to under 5 MB whatever the number of rows.
+_MAX_DISTINCT_PAIRS = 2048
 
 
-def _full_set_loss(model: MlpModel, x: np.ndarray, t: np.ndarray) -> float:
+def _distinct_pairs(x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(first, inverse)``: the first row of each distinct ``(x[r], t[r])`` pair,
+    in order, and each row's pair number; None past ``_MAX_DISTINCT_PAIRS`` pairs.
+
+    Pairs are keyed by the exact bytes of both rows, so ``-0.0`` and ``0.0``
+    differ and no two different pairs share a number.  The rows are joined a
+    block at a time, one key per row.
+    """
+    index: dict[bytes, int] = {}
+    inverse: list[int] = []
+    for start in range(0, x.shape[0], _LOSS_CHUNK_ROWS):
+        stop = start + _LOSS_CHUNK_ROWS
+        block = np.concatenate((x[start:stop], t[start:stop]), axis=1)
+        inverse += [index.setdefault(row.tobytes(), len(index)) for row in block]
+        if len(index) > _MAX_DISTINCT_PAIRS:
+            return None
+    numbers = np.array(inverse, dtype=np.intp)
+    return np.unique(numbers, return_index=True)[1], numbers
+
+
+def _fill_loss_terms(model: MlpModel, x: np.ndarray, t: np.ndarray, out: np.ndarray) -> None:
+    """Write every row's loss terms into ``out``, forwarding one chunk of 512
+    to 1,023 rows at a time, or all rows when fewer than 512 (see :func:`train`)."""
+    n = x.shape[0]
+    starts = [i * _LOSS_CHUNK_ROWS for i in range(max(1, n // _LOSS_CHUNK_ROWS))]
+    for start, stop in zip(starts, starts[1:] + [n]):
+        out[start:stop] = _bce_terms(forward(model, x[start:stop]), t[start:stop])
+
+
+def _full_set_loss(model: MlpModel, x: np.ndarray, t: np.ndarray, pairs) -> float:
     """``bce_loss(forward(model, x), t)``, bit for bit, one row chunk at a time.
 
     Only the ``(n, 79)`` array of loss terms is full-size; the forward pass
-    holds one chunk of 512 to 1,023 rows (see :func:`train` for the rule).
+    holds one chunk.  Given ``pairs`` from :func:`_distinct_pairs`, not None,
+    and n >= 512, it forwards only the first row of each distinct pair,
+    repeated up to 512 rows when fewer, by the same chunk rule, and then
+    copies each pair's terms to every row that holds it, so the forward pass
+    is done before the full-size array exists.  A row's terms depend only on
+    its own input and target, and every chunk has at least 512 rows, so it
+    gets each row's full-set bits (see :func:`train`): the terms array, and
+    so its mean, is the same as without pairs.
     """
-    n = x.shape[0]
-    terms = np.empty((n, N_LABELS))
-    starts = [i * _LOSS_CHUNK_ROWS for i in range(max(1, n // _LOSS_CHUNK_ROWS))]
-    for start, stop in zip(starts, starts[1:] + [n]):
-        terms[start:stop] = _bce_terms(forward(model, x[start:stop]), t[start:stop])
+    if pairs is None or x.shape[0] < _LOSS_CHUNK_ROWS:
+        terms = np.empty((x.shape[0], N_LABELS))
+        _fill_loss_terms(model, x, t, terms)
+    else:
+        first, inverse = pairs
+        rows = np.resize(first, max(first.size, _LOSS_CHUNK_ROWS))
+        pair_terms = np.empty((rows.size, N_LABELS))
+        _fill_loss_terms(model, x[rows], t[rows], pair_terms)
+        terms = pair_terms[inverse]
     return float(-np.mean(terms))
 
 
@@ -304,6 +363,13 @@ def train(x: np.ndarray, t: np.ndarray, config: TrainConfig) -> tuple[MlpModel, 
     for M in 16 to 32 and for M >= 151, but not for M in 1 to 15 or 33 to 150,
     so a plain split into fixed chunks would be exact or not depending on
     ``n % chunk``.
+
+    The rows are numbered once per call by the exact bytes of ``(x[r], t[r])``
+    and the report's ``distinct_rows`` counts the distinct pairs.  When n >=
+    512, both losses forward only one row per distinct pair, by the same
+    chunk rule over the distinct rows, padded with repeats to 512 when fewer
+    (see :func:`_full_set_loss`).  Past 2,048 distinct pairs numbering stops,
+    ``distinct_rows`` is None and every row is forwarded.
     """
     x = np.asarray(x, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
@@ -316,7 +382,8 @@ def train(x: np.ndarray, t: np.ndarray, config: TrainConfig) -> tuple[MlpModel, 
 
     model = init_model(config.seed)
     rng = np.random.default_rng(config.seed)
-    initial_loss = _full_set_loss(model, x, t)
+    pairs = _distinct_pairs(x, t)
+    initial_loss = _full_set_loss(model, x, t, pairs)
     epoch_losses = []
     n = x.shape[0]
     for _ in range(config.epochs):
@@ -327,10 +394,13 @@ def train(x: np.ndarray, t: np.ndarray, config: TrainConfig) -> tuple[MlpModel, 
             loss, grads = loss_and_grads(model, x[idx], t[idx])
             batch_losses.append(loss)
             for name, grad in grads.items():
-                setattr(model, name, getattr(model, name) - config.learning_rate * grad)
+                grad *= config.learning_rate
+                weights = getattr(model, name)
+                weights -= grad
         epoch_losses.append(float(np.mean(batch_losses)))
-    final_loss = _full_set_loss(model, x, t)
-    return model, TrainReport(initial_loss, final_loss, epoch_losses)
+    final_loss = _full_set_loss(model, x, t, pairs)
+    distinct_rows = None if pairs is None else pairs[0].size
+    return model, TrainReport(initial_loss, final_loss, epoch_losses, distinct_rows)
 
 
 def save_model(model: MlpModel, path: str | Path) -> None:

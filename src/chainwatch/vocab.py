@@ -8,8 +8,9 @@ the feature layout reserves for them.
 
 Every reader of a text file goes through the helpers here, since this is the
 lowest module they all import: :func:`open_text` decodes a file the one way
-``docs/formats.md`` documents, :func:`numbered_lines` numbers and strips its
-lines, and :func:`json_objects` reads the JSON-lines formats.
+``docs/formats.md`` documents and names the line of any bytes that are not
+UTF-8, :func:`numbered_lines` numbers and strips its lines, and
+:func:`json_objects` reads the JSON-lines formats.
 """
 
 from __future__ import annotations
@@ -48,12 +49,48 @@ SCOPE_INDEX = {name: i for i, name in enumerate(SCOPES)}
 WHITESPACE = re.compile(r"\s")
 
 
-def open_text(path: str | Path) -> IO[str]:
-    """Open ``path`` for reading as UTF-8 text.
+def open_text(path: str | Path) -> "_TextFile":
+    """Open ``path`` for reading as UTF-8 text, as a context manager.
 
-    Lines end only at ``\\n``, ``\\r\\n`` or ``\\r``, whatever the locale.
+    Lines end only at ``\\n``, ``\\r\\n`` or ``\\r``, whatever the locale.  A
+    file that is not valid UTF-8 fails, when its reader reaches the bad
+    bytes, with ``ValueError("{path} line {n}: not valid UTF-8")``.
     """
-    return open(path, encoding="utf-8")
+    return _TextFile(path, open(path, encoding="utf-8"))
+
+
+class _TextFile:
+    """``with`` over an open text file: closes it on the way out, and turns a
+    decode error into one naming the file and line.  Reading a line costs
+    nothing more; only the error path rereads the file to find the line."""
+
+    __slots__ = ("path", "file")
+
+    def __init__(self, path: str | Path, file: IO[str]):
+        self.path, self.file = path, file
+
+    def __enter__(self) -> IO[str]:
+        return self.file
+
+    def __exit__(self, kind, exc, tb) -> None:
+        self.file.close()
+        if kind is not None and issubclass(kind, UnicodeDecodeError):
+            lineno = _first_undecodable_line(self.path)
+            if lineno is not None:
+                raise ValueError(f"{self.path} line {lineno}: not valid UTF-8") from None
+
+
+def _first_undecodable_line(path: str | Path) -> int | None:
+    """The number of the first line of ``path`` that is not valid UTF-8, or
+    None if the whole file is.  Line ends are counted as :func:`open_text` reads
+    them, so a ``\\r\\n`` is one."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        return head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+    return None
 
 
 def numbered_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:

@@ -9,9 +9,10 @@ scalar helpers use plain Python arithmetic.  The reference monitor step takes
 checks the step's bookkeeping, its precomputed norms and its similarity bits.
 The gradient check takes central differences of the program's own loss, so it
 checks the analytic backward pass against the forward one.  The reference
-training step shares only ``bce_loss`` with the program and writes its forward
-pass out of place, so it checks the step's forward pass and relu masks to the
-bit.
+training step writes its forward pass out of place and its loss as the
+two-log formula, so it checks the step's forward pass, loss and relu masks to
+the bit; the reference training loop adds full-set losses from one forward
+over every row and out-of-place updates.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from chainwatch.sdg import FLOW_LABELS, Sdg, VulnQuery, template_matches
 from chainwatch.encoder import tokenize_api_name
-from chainwatch.mlp import MlpModel, bce_loss, forward, loss_and_grads
+from chainwatch.mlp import MlpModel, bce_loss, forward, init_model, loss_and_grads
 from chainwatch.trace import InstructionCall
 from chainwatch.vocab import CATEGORIES, SCOPES
 
@@ -188,7 +189,44 @@ def reference_loss_and_grads(model: MlpModel, x: np.ndarray, t: np.ndarray):
         "w2": dz2.T @ h1, "b2": dz2.sum(axis=0),
         "w3": dz3.T @ h2, "b3": dz3.sum(axis=0),
     }
-    return bce_loss(y, t), grads
+    return reference_bce_loss(y, t), grads
+
+
+def reference_bce_loss(y: np.ndarray, t: np.ndarray) -> float:
+    """Mean binary cross-entropy as the two-log formula over every element,
+    with probabilities clamped to [1e-7, 1 - 1e-7]."""
+    y = np.clip(y, 1e-7, 1.0 - 1e-7)
+    return float(-np.mean(t * np.log(y) + (1.0 - t) * np.log(1.0 - y)))
+
+
+def _reference_forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    h1 = np.maximum(x @ model.w1.T + model.b1, 0.0)
+    h2 = np.maximum(h1 @ model.w2.T + model.b2, 0.0)
+    return reference_sigmoid(h2 @ model.w3.T + model.b3)
+
+
+def reference_train(x: np.ndarray, t: np.ndarray, config):
+    """``mlp.train`` as a plain loop: ``(model, initial loss, epoch losses,
+    final loss)``.  Each full-set loss comes from one forward over every row,
+    each step from :func:`reference_loss_and_grads`, and each update is the
+    out-of-place ``w - lr * grad``."""
+    model = init_model(config.seed)
+    rng = np.random.default_rng(config.seed)
+    initial_loss = reference_bce_loss(_reference_forward(model, x), t)
+    epoch_losses = []
+    n = x.shape[0]
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        batch_losses = []
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            loss, grads = reference_loss_and_grads(model, x[idx], t[idx])
+            batch_losses.append(loss)
+            for name, grad in grads.items():
+                setattr(model, name, getattr(model, name) - config.learning_rate * grad)
+        epoch_losses.append(float(np.mean(batch_losses)))
+    final_loss = reference_bce_loss(_reference_forward(model, x), t)
+    return model, initial_loss, epoch_losses, final_loss
 
 
 def straight_line_forward(x, w1, b1, w2, b2, w3, b3):

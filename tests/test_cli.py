@@ -17,9 +17,9 @@ import pytest
 from click import ClickException
 
 from chainwatch.cli import _refuse_to_overwrite, cli, main
-from chainwatch.corpus import read_manifest
+from chainwatch.corpus import build_xy, load_split, read_manifest
 from chainwatch.encoder import default_embedding_path
-from chainwatch.mlp import PARAM_COUNT, init_model, load_model, save_model
+from chainwatch.mlp import N_LABELS, PARAM_COUNT, init_model, load_model, save_model
 from chainwatch.trace import serialize_trace_record
 from chainwatch.vocab import default_vocab_dir
 
@@ -389,7 +389,7 @@ class TestTrain:
         model = load_model(cli_model)
         assert sum(arr.size for _, arr in model.tensors()) == PARAM_COUNT == 45879
 
-    def test_report_fields(self, cli_corpus, tmp_path, capsys):
+    def test_report_fields(self, cli_corpus, encoder, tmp_path, capsys):
         out = tmp_path / "m.cwmlp"
         rc = main([
             "train", "--corpus", str(cli_corpus), "--out", str(out),
@@ -401,6 +401,9 @@ class TestTrain:
         assert report["seed"] == 4
         assert report["param_count"] == 45879
         assert report["final_loss"] < report["initial_loss"]
+        x, t = build_xy(load_split(cli_corpus, "train", encoder.vocabs), encoder, N_LABELS)
+        pairs = {(a.tobytes(), b.tobytes()) for a, b in zip(x, t)}
+        assert report["examples"] == len(x) > report["distinct_rows"] == len(pairs)
 
     def test_missing_corpus_exit_1(self, capsys):
         rc = main(["train", "--out", "/tmp/x.cwmlp"])
@@ -438,6 +441,55 @@ def test_corrupt_manifest_exit_1_names_it(tmp_path, capsys):
     assert rc == 1
     error = _one_error_line(capsys.readouterr().err)
     assert error.startswith(f"Error: {tmp_path / 'corpus.json'}: Expecting property name")
+
+
+class TestNotUtf8:
+    """A file that is not valid UTF-8 fails with one error line that names it
+    and the line of the first bad byte, and exits 1."""
+
+    def _assert_names(self, capsys, rc, path, line):
+        assert rc == 1
+        assert _one_error_line(capsys.readouterr().err) == (
+            f"Error: {path} line {line}: not valid UTF-8"
+        )
+
+    def test_trace(self, world_files, tmp_path, capsys):
+        trace = tmp_path / "t.jsonl"
+        good = world_files["planted"].read_bytes().splitlines()[0]
+        call = {"api_name": "readLine\u00e9", "category": "invokevirtual", "scope": "Application",
+                "package": "Ljava/io/BufferedReader", "inputs": [], "outputs": ["String"]}
+        latin1 = json.dumps(call, ensure_ascii=False).encode("latin-1")
+        trace.write_bytes(good + b"\r\n" + latin1 + b"\n")
+        rc = main(["detect-naive", str(trace), "--fingerprints", str(world_files["fingerprints"])])
+        self._assert_names(capsys, rc, trace, 2)
+
+    def test_whitelist(self, world_files, tmp_path, capsys):
+        whitelist = tmp_path / "wl.txt"
+        whitelist.write_bytes(b"# names\nreadLine\ncaf\xe9\n")
+        rc = main([
+            "detect-naive", str(world_files["planted"]),
+            "--fingerprints", str(world_files["fingerprints"]), "--whitelist", str(whitelist),
+        ])
+        self._assert_names(capsys, rc, whitelist, 3)
+
+    def test_vocabulary_file(self, world_files, tmp_path, capsys):
+        vocab = tmp_path / "vocab"
+        shutil.copytree(default_vocab_dir(), vocab)
+        packages = vocab / "packages.txt"
+        lines = packages.read_bytes().splitlines(keepends=True)
+        lines[4] = b"\xff" + lines[4]
+        packages.write_bytes(b"".join(lines))
+        rc = main([
+            "detect-naive", str(world_files["planted"]),
+            "--fingerprints", str(world_files["fingerprints"]), "--vocab-dir", str(vocab),
+        ])
+        self._assert_names(capsys, rc, packages, 5)
+
+    def test_config(self, world_files, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{\n"fingerprints": "caf\xe9"\n}\n')
+        rc = main(["detect-naive", str(world_files["planted"]), "--config", str(config)])
+        self._assert_names(capsys, rc, config, 2)
 
 
 class TestEval:

@@ -8,6 +8,7 @@ unnoticed.
 
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -37,8 +38,10 @@ from chainwatch.mlp import (
 
 from .oracles import (
     grad_check,
+    reference_bce_loss,
     reference_loss_and_grads,
     reference_sigmoid,
+    reference_train,
     straight_line_forward,
 )
 
@@ -360,7 +363,7 @@ def test_loss_and_grads_loss_matches_bce():
     x = rng.standard_normal((6, 151))
     t = (rng.random((6, 79)) < 0.5).astype(float)
     loss, _ = loss_and_grads(m, x, t)
-    assert loss == pytest.approx(bce_loss(forward(m, x), t), rel=1e-12)
+    assert loss.hex() == bce_loss(forward(m, x), t).hex()
 
 
 @pytest.mark.parametrize("rows", [1, 17, 32])
@@ -409,15 +412,99 @@ def _sparse_rows(n: int, seed: int):
     return x, t
 
 
-@pytest.mark.parametrize("n", [1, 150, 511, 512, 513, 1023, 1024, 1160, 1672, 5000])
-def test_train_report_losses_equal_full_set_loss(n):
-    """The chunked report losses equal the loss over one full-set forward, bit for bit."""
-    x, t = _sparse_rows(n, n)
+def _repeat_to(n: int, x, t, seed: int):
+    """``n`` rows drawn from the rows of ``x`` and ``t``, each at least once."""
+    pick = np.random.default_rng(seed).integers(0, len(x), n)
+    pick[: len(x)] = np.arange(len(x))
+    return x[pick], t[pick]
+
+
+def _repeated_rows(n: int, pairs: int, seed: int):
+    """``n`` rows that repeat ``pairs`` distinct sparse rows."""
+    return _repeat_to(n, *_sparse_rows(pairs, seed), seed)
+
+
+def _signed_zero_twins(n: int, seed: int):
+    """20 distinct pairs: 10 sparse rows, and each again with its zeros as -0.0."""
+    x, t = _sparse_rows(10, seed)
+    x_neg = np.where(x == 0.0, -0.0, x)
+    return _repeat_to(n, np.concatenate([x, x_neg]), np.concatenate([t, t]), seed)
+
+
+def _target_twins(n: int, seed: int):
+    """20 distinct pairs: 10 sparse rows, each with two different target rows."""
+    x, t = _sparse_rows(10, seed)
+    return _repeat_to(n, np.concatenate([x, x]), np.concatenate([t, 1.0 - t]), seed)
+
+
+# Each case is (rows, distinct pairs, maker); the first ten are all-distinct.
+TRAIN_LOSS_CASES = [
+    *(pytest.param(n, n, partial(_sparse_rows, n, n), id=str(n))
+      for n in (1, 150, 511, 512, 513, 1023, 1024, 1160, 1672, 5000)),
+    *(pytest.param(n, pairs, partial(_repeated_rows, n, pairs, pairs), id=f"{n}-rows-{pairs}-pairs")
+      for n, pairs in ((600, 5), (2000, 150), (2000, 151), (5000, 343), (3000, 1100), (300, 40))),
+    pytest.param(1000, 20, partial(_signed_zero_twins, 1000, 5), id="signed-zero-twins"),
+    pytest.param(1000, 20, partial(_target_twins, 1000, 6), id="target-twins"),
+]
+
+
+@pytest.mark.parametrize("n, pairs, make", TRAIN_LOSS_CASES)
+def test_train_report_losses_equal_full_set_loss(n, pairs, make):
+    """The report losses, over chunks of all rows or of one row per distinct
+    pair, equal the loss over one full-set forward, bit for bit."""
+    x, t = make()
+    assert x.shape[0] == n
     cfg = TrainConfig(learning_rate=0.5, epochs=1, batch_size=32, seed=3)
     model, report = train(x, t, cfg)
+    assert report.distinct_rows == (pairs if pairs <= 2048 else None)
     initial = bce_loss(forward(init_model(cfg.seed), x), t)
     assert report.initial_loss.hex() == initial.hex()
     assert report.final_loss.hex() == bce_loss(forward(model, x), t).hex()
+
+
+def test_full_set_loss_forwards_one_row_per_pair(monkeypatch):
+    """With 5 pairs over 600 rows, each full-set loss forwards 512 rows, the
+    pairs repeated to the chunk floor; with 600 distinct rows it forwards all."""
+    rows = []
+    real = mlp.forward
+    monkeypatch.setattr(mlp, "forward", lambda m, x: rows.append(x.shape[0]) or real(m, x))
+    cfg = TrainConfig(learning_rate=0.5, epochs=1, batch_size=32, seed=3)
+    train(*_repeated_rows(600, 5, 5), cfg)
+    assert rows == [512, 512]
+    rows.clear()
+    train(*_sparse_rows(600, 7), cfg)
+    assert rows == [600, 600]
+
+
+@pytest.mark.parametrize("soft", [False, True], ids=["binary-targets", "soft-targets"])
+def test_train_bit_equal_to_reference_loop(soft):
+    """Weights and every reported loss equal the plain loop's, which forwards
+    every row for the full-set losses and uses the two-log loss formula."""
+    x, t = _repeated_rows(600, 40, 11)
+    if soft:
+        t = np.where(t == 1.0, 0.7, 0.3)
+    cfg = TrainConfig(learning_rate=0.5, epochs=2, batch_size=32, seed=4)
+    model, report = train(x, t, cfg)
+    want_model, initial, epochs, final = reference_train(x, t, cfg)
+    for name, arr in model.tensors():
+        assert arr.tobytes() == getattr(want_model, name).tobytes(), name
+    assert [v.hex() for v in (report.initial_loss, *report.epoch_losses, report.final_loss)] == [
+        v.hex() for v in (initial, *epochs, final)
+    ]
+    assert report.distinct_rows == 40
+
+
+@pytest.mark.parametrize("targets", ["binary", "soft"])
+def test_bce_loss_bit_equal_to_two_log_formula(targets):
+    """0/1 targets take one log per element, any other the two-log formula;
+    both give the two-log formula's bits, also at and past the clamp."""
+    rng = np.random.default_rng(13)
+    y = rng.random((40, N_LABELS))
+    y[0, :8] = [0.0, 1.0, 1e-7, 1.0 - 1e-7, 5e-324, 1e-300, 0.5, np.nextafter(1.0, 0.0)]
+    t = (rng.random((40, N_LABELS)) < 0.3).astype(float)
+    if targets == "soft":
+        t[3, 5] = 0.3
+    assert bce_loss(y, t).hex() == reference_bce_loss(y, t).hex()
 
 
 def test_train_peak_heap_is_the_loss_terms_plus_a_bound():

@@ -12,6 +12,7 @@ from chainwatch.vocab import (
     Vocabularies,
     VocabularyError,
     load_vocabularies,
+    open_text,
 )
 
 
@@ -93,3 +94,27 @@ def test_identifier_with_any_whitespace_rejected(tmp_path, space):
     (tmp_path / "io_types.txt").write_text("".join(f"t{i}\n" for i in range(24)))
     with pytest.raises(VocabularyError, match="packages.txt line 1: identifier contains white"):
         load_vocabularies(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "data, line",
+    [(b"\xe9\n", 1), (b"a\nb\n\xe9", 3), (b"a\r\nb\rc\n d\xe9e\n", 4), (b"a\n\xe2\x82", 2)],
+    ids=["first-line", "last-line-no-end", "mixed-line-ends", "truncated-sequence"],
+)
+def test_open_text_names_the_first_undecodable_line(tmp_path, data, line):
+    path = tmp_path / "f.txt"
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as info:
+        with open_text(path) as fh:
+            fh.read()
+    assert str(info.value) == f"{path} line {line}: not valid UTF-8"
+    assert not isinstance(info.value, UnicodeDecodeError)
+
+
+def test_open_text_keeps_other_decode_errors(tmp_path):
+    """A decode error that the file itself did not cause passes through as it was."""
+    path = tmp_path / "f.txt"
+    path.write_text("ok\n", encoding="utf-8")
+    with pytest.raises(UnicodeDecodeError):
+        with open_text(path):
+            b"\xe9".decode("utf-8")
