@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print one sha256 per detection mode, and one for training, over everything they report.
+r"""Print one sha256 per detection mode, and one for training, over everything they report.
 
     python3 scripts/output_digest.py --corpus CORPUS --model MODEL --fingerprints FP
 
@@ -19,6 +19,32 @@ sha256=<hex>`` (``detect``, ``detect_naive``, ``detect_no_events``,
 
 It imports ``chainwatch`` from the ``src`` next to it, so a copy placed in
 another checkout digests that checkout.
+
+The bit-identity gate, run from the repository root (about 30 s in all on
+a 2-core x86-64 host):
+
+    F=src/chainwatch/data/fixtures OUT=$(mktemp -d)
+    for seed in 0 3; do
+        PYTHONPATH=src python3 -m chainwatch gen-dataset --fingerprints $F/cwe79.fp \
+            --sdg $F/cwe79.sdg --benign-pool $F/cwe79_benign.jsonl \
+            --per-sequence 20 --seed $seed --out $OUT/corpus$seed
+    done
+    PYTHONPATH=src python3 -m chainwatch train --corpus $OUT/corpus0 --lr 2.0 \
+        --epochs 30 --out $OUT/model.cwm    # md5 75fcc654bcb9e7fb15d4155555eaedfe
+    python3 scripts/output_digest.py --corpus $OUT/corpus3 --model $OUT/model.cwm \
+        --fingerprints $F/cwe79.fp
+
+The model is the benchmark's (``perfbench/inputs.py``).  On x86-64 Linux,
+Python 3.11, NumPy 2.4 with its bundled OpenBLAS 0.3.31 (Haswell kernels),
+the digest prints:
+
+    detect alarms=263 events=1256 sha256=bfb2061d9107edf22a40a838048378675f6ed8e812b89fd2ae11e05f6409a812
+    detect_naive alarms=263 events=499675 sha256=ab17cef59eb5fe50945e800e73db6857e1900363b1f52eef104b146962b00d09
+    detect_no_events alarms=263 events=0 sha256=6b764846bf8e402256edca0bdcd9463965801437ac6356195780661ae549f606
+    detect_naive_no_events alarms=263 events=0 sha256=287cb2149d7f507ce38c6f1bab4a10d1f54f7eb3617497059570bbd8fbffdff9
+    train rows=38309 sha256=9a01fd72e361fc44569e008834af3840d0e62c6098731be7857ed604e4ad5ac8
+
+A change that keeps every output bit prints these lines unchanged.
 """
 
 from __future__ import annotations

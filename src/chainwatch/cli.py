@@ -37,7 +37,7 @@ from .engine import (
 from .fingerprints import WhiteList, load_fingerprints
 from .monitor import DEFAULT_COSINE_THRESHOLD
 from .trace import read_trace
-from .vocab import open_text, vocabulary_files
+from .vocab import decode_text, open_text, vocabulary_files
 
 _DATA = Path(__file__).parent / "data"
 DEFAULT_WHITELIST = _DATA / "fixtures" / "whitelist.txt"
@@ -80,9 +80,10 @@ def _refuse_to_overwrite(out: str, embeddings: str | None, vocab_dir: str | None
 
 
 def _read_trace(path: str, encoder: FeatureEncoder):
-    """TRACE as UTF-8 from a path; '-' reads stdin in the interpreter's encoding."""
+    """TRACE as UTF-8 from a path, or from stdin when it is '-'."""
     if path == "-":
-        return read_trace(click.get_text_stream("stdin"), encoder.vocabs, source_id="<stdin>")
+        lines = decode_text(click.get_binary_stream("stdin").read(), "<stdin>")
+        return read_trace(lines, encoder.vocabs, source_id="<stdin>")
     with open_text(path) as fh:
         return read_trace(fh, encoder.vocabs, source_id=path)
 

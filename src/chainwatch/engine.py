@@ -84,7 +84,7 @@ class DetectionResult:
 
 def classifier_candidates(model: mlp.MlpModel, db: FingerprintDb, threshold: float) -> CandidateFn:
     """Candidate nomination: predicted labels intersected with stored exploits."""
-    known = frozenset(db.exploit_ids)
+    known = db.exploit_set
     predicted = mlp.nominator(model, threshold)
 
     def nominate(x: np.ndarray) -> frozenset[int]:
@@ -120,7 +120,7 @@ def run_detection(
     alarms: list[AlarmRecord] = []
     events: list[MonitorEvent] = []
     alarm, no_match = EventKind.ALARM, EventKind.NO_MATCH
-    every = frozenset(table.db.exploit_ids) if candidate_fn is None else None
+    every = table.db.exploit_set
 
     for offset, call in enumerate(trace):
         summary.total_calls += 1
@@ -175,15 +175,13 @@ def detect(
     db: FingerprintDb,
     model: mlp.MlpModel,
     config: EngineConfig | None = None,
-    table: StateTable | None = None,
     keep_events: bool = False,
 ) -> DetectionResult:
-    """Classifier-filtered detection over one trace."""
+    """Classifier-filtered detection over one trace, with a fresh state table."""
     config = config if config is not None else EngineConfig()
-    table = table if table is not None else StateTable(db)
     nominate = classifier_candidates(model, db, config.threshold_classify)
     return run_detection(
-        trace, encoder, whitelist, table, nominate, config, keep_events=keep_events
+        trace, encoder, whitelist, StateTable(db), nominate, config, keep_events=keep_events
     )
 
 
@@ -193,10 +191,11 @@ def detect_naive(
     whitelist: WhiteList,
     db: FingerprintDb,
     config: EngineConfig | None = None,
-    table: StateTable | None = None,
     keep_events: bool = False,
 ) -> DetectionResult:
-    """Exhaustive detection: every stored exploit is a candidate on every call."""
+    """Exhaustive detection: every stored exploit is a candidate on every call,
+    with a fresh state table."""
     config = config if config is not None else EngineConfig()
-    table = table if table is not None else StateTable(db)
-    return run_detection(trace, encoder, whitelist, table, None, config, keep_events=keep_events)
+    return run_detection(
+        trace, encoder, whitelist, StateTable(db), None, config, keep_events=keep_events
+    )

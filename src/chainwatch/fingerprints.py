@@ -8,9 +8,9 @@ Fingerprint file grammar (newline-delimited JSON, blank lines ignored):
   grammar, optionally extended with ``"role": "source" | "sink"`` used when
   lowering the fingerprint to a dataflow query.
 
-Template feature vectors are encoded once at load time, and each row's norm
-is taken then too; the database stacks every row into one read-only matrix.
-The monitor compares against these pre-encoded rows.
+Template feature vectors are encoded once at load time; the database stacks
+every row into one read-only matrix and takes each row's norm there.  The
+monitor compares against these pre-encoded rows.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class EmptyFingerprint(FingerprintError):
 
 @dataclass(frozen=True, eq=False)
 class Fingerprint:
-    """One exploit's ordered templates and their encoded rows.
+    """One exploit's ordered templates and their encoded rows, read only.
 
     Compared and hashed by identity: a generated ``__eq__`` would compare
     ``template_vectors`` with ``==``, whose truth value is ambiguous.
@@ -59,9 +59,6 @@ class Fingerprint:
     templates: tuple[InstructionCall, ...]
     roles: tuple[str | None, ...]
     template_vectors: np.ndarray = field(repr=False)
-    # Derived from template_vectors, which is made read-only so they cannot go stale.
-    template_rows: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-    template_norms: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.templates) == 0:
@@ -71,9 +68,6 @@ class Fingerprint:
         if self.template_vectors.shape != (len(self.templates), VECTOR_DIM):
             raise FingerprintError(f"exploit {self.exploit_id}: bad template vector shape")
         self.template_vectors.setflags(write=False)
-        rows = tuple(self.template_vectors)
-        object.__setattr__(self, "template_rows", rows)
-        object.__setattr__(self, "template_norms", tuple(float(np.sqrt(r @ r)) for r in rows))
 
     def __len__(self) -> int:
         return len(self.templates)
@@ -90,8 +84,11 @@ class FingerprintDb:
     * ``exploit_ids``, the ids in ascending order; an exploit's *position* is
       its index in this tuple, and ``positions`` maps id -> position;
     * ``template_matrix``, every template row stacked in position order, read
-      only, with ``template_norms`` the rows' ``Fingerprint.template_norms``
-      and ``start_rows`` the row of each exploit's first template;
+      only, with ``template_norms`` each row's ``sqrt(row @ row)``, and
+      ``start_rows`` and ``last_rows`` the rows of each exploit's first and
+      last template;
+    * ``exploit_set``, the ids as one frozenset, the candidate set meaning
+      "every exploit";
     * ``template_norm_span``, the smallest and largest nonzero template norm
       (``(inf, 0.0)`` when there is none, NaN when a norm is NaN).
     """
@@ -102,6 +99,8 @@ class FingerprintDb:
     template_matrix: np.ndarray = field(init=False, repr=False, compare=False)
     template_norms: np.ndarray = field(init=False, repr=False, compare=False)
     start_rows: np.ndarray = field(init=False, repr=False, compare=False)
+    last_rows: np.ndarray = field(init=False, repr=False, compare=False)
+    exploit_set: frozenset[int] = field(init=False, repr=False, compare=False)
     template_norm_span: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -110,15 +109,16 @@ class FingerprintDb:
             raise FingerprintError(f"exploit id {min(bad)} outside the label space [0, {N_LABELS})")
         ids = tuple(sorted(self.fingerprints))
         ordered = [self.fingerprints[eid] for eid in ids]
-        lengths = [len(fp) for fp in ordered]
+        lengths = np.array([len(fp) for fp in ordered], dtype=np.intp)
         matrix = np.concatenate(
             [fp.template_vectors for fp in ordered] or [np.empty((0, VECTOR_DIM))]
         )
-        norms = np.array([n for fp in ordered for n in fp.template_norms], dtype=np.float64)
-        starts = np.cumsum([0] + lengths, dtype=np.intp)[:-1]
+        norms = np.array([np.sqrt(r @ r) for r in matrix], dtype=np.float64)
+        ends = np.cumsum(lengths, dtype=np.intp)
+        starts, lasts = ends - lengths, ends - 1
         nonzero = norms[norms != 0.0]
         span = (float(nonzero.min()), float(nonzero.max())) if nonzero.size else (math.inf, 0.0)
-        for arr in (matrix, norms, starts):
+        for arr in (matrix, norms, starts, lasts):
             arr.setflags(write=False)
         derived = {
             "fingerprints": MappingProxyType(dict(self.fingerprints)),
@@ -127,6 +127,8 @@ class FingerprintDb:
             "template_matrix": matrix,
             "template_norms": norms,
             "start_rows": starts,
+            "last_rows": lasts,
+            "exploit_set": frozenset(ids),
             "template_norm_span": span,
         }
         for name, value in derived.items():

@@ -123,76 +123,57 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return _sigmoid_stable(logits(model, x))
 
 
-# Thresholds for which logit_cut's margin is proven; see its docstring.
+# Thresholds for which logit_cuts' margins are proven; see its docstring.
 _CUT_THRESHOLDS = (1e-12, 1.0 - 1e-12)
 _NO_LABELS: frozenset[int] = frozenset()
 
 
-def logit_cut(threshold: float) -> float:
-    """A logit below which no computed probability reaches ``threshold``.
+def logit_cuts(threshold: float) -> tuple[float, float]:
+    """``(cut, upper_cut)``: no computed probability of a logit below ``cut``
+    reaches ``threshold``, and every one of a logit at or above ``upper_cut`` does.
 
-    The cut is ``logit(t) - 1`` with ``logit(t) = log(t / (1 - t))``.  For a
-    logit ``z <= logit(t) - 1`` the exact logistic is below ``t`` by
+    The cuts are ``logit(t) -/+ 1`` with ``logit(t) = log(t / (1 - t))``.  At
+    them the exact logistic is off ``t`` by
 
-        t - sigma(logit(t) - 1) = t (1 - t) (e - 1) / (e - (e - 1) t)
-                                >= (1 - 1/e) t (1 - t) > 0.63 t (1 - t),
-
-    so the computed probability would have to be off by a relative 0.63 (1 - t)
-    to reach ``t``.  ``_sigmoid_stable`` is off by a few ulps (about 1e-15
-    relative), and the cut itself is computed to within about 1e-14, which
-    moves the exact logistic at the cut by a relative 1e-14 at most.  Both are
-    far below 0.63 (1 - t) while ``t`` lies in ``[1e-12, 1 - 1e-12]``.  The
-    computed logistic never decreases as its argument grows, so being below
-    ``t`` at the cut covers every smaller logit; and in that range the cut
-    lies above -29, where ``exp`` is a normal number.  Outside the range the
-    margin is not proven (near 1 it shrinks to an ulp; near 0 ``exp`` goes
-    subnormal and loses its relative accuracy), so the cut is ``-inf`` and
-    every call takes the full path.
-    """
-    low, high = _CUT_THRESHOLDS
-    if not low <= threshold <= high:
-        return -math.inf
-    return math.log(threshold / (1.0 - threshold)) - 1.0
-
-
-def logit_upper_cut(threshold: float) -> float:
-    """A logit at and above which every computed probability reaches ``threshold``.
-
-    The mirror of :func:`logit_cut`: the cut is ``logit(t) + 1``.  For a
-    logit ``z >= logit(t) + 1`` the exact logistic is above ``t`` by
-
+        t - sigma(logit(t) - 1) = t (1 - t) (e - 1) / (e - (e - 1) t),
         sigma(logit(t) + 1) - t = t (1 - t) (e - 1) / (1 + (e - 1) t),
 
-    a relative (1 - 1/e) (1 - t) > 0.63 (1 - t) of ``sigma`` itself, so the
-    computed probability would have to be off by that much to fall below
-    ``t``.  The same few-ulp errors of ``_sigmoid_stable`` and of the cut
-    (about 1e-15 and 1e-14 relative) are far below it while ``t`` lies in
-    ``[1e-12, 1 - 1e-12]``.  The computed logistic never decreases as its
-    argument grows, so reaching ``t`` at the cut covers every larger logit;
-    and in that range the cut lies below 29 in magnitude, where ``exp`` of
-    ``-|z|`` is a normal number.  Outside the range the cut is ``inf``.
+    a relative (1 - 1/e) (1 - t) > 0.63 (1 - t) of ``t`` below and of
+    ``sigma`` itself above, so the computed probability would have to be off
+    by that much to cross ``t``.  ``_sigmoid_stable`` is off by a few ulps
+    (about 1e-15 relative), and each cut is computed to within about 1e-14,
+    which moves the exact logistic at the cut by a relative 1e-14 at most.
+    Both are far below 0.63 (1 - t) while ``t`` lies in ``[1e-12, 1 - 1e-12]``.
+    The computed logistic never decreases as its argument grows, so being on
+    the right side of ``t`` at a cut covers every logit beyond it; and in
+    that range both cuts lie below 29 in magnitude, where ``exp`` of
+    ``-|z|`` is a normal number.  Outside the range the margins are not
+    proven (near 1 they shrink to an ulp; near 0 ``exp`` goes subnormal and
+    loses its relative accuracy), so the cuts are ``(-inf, inf)`` and every
+    call takes the full path.
     """
     low, high = _CUT_THRESHOLDS
     if not low <= threshold <= high:
-        return math.inf
-    return math.log(threshold / (1.0 - threshold)) + 1.0
+        return -math.inf, math.inf
+    z = math.log(threshold / (1.0 - threshold))
+    return z - 1.0, z + 1.0
 
 
 def nominator(model: MlpModel, threshold: float):
     """``x -> labels whose probability from :func:`forward` is at least threshold``.
 
-    Nomination works on the logits.  When the largest is below
-    :func:`logit_cut`, no label can reach the threshold, so the call returns
-    the empty set without computing a single logistic.  When every label at
-    or above that cut is also at or above :func:`logit_upper_cut`, those
-    labels are the set, again without a logistic.  Otherwise, with a label
+    Nomination works on the logits and the two :func:`logit_cuts`.  When the
+    largest logit is below the lower cut, no label can reach the threshold,
+    so the call returns the empty set without computing a single logistic.
+    When every label at or above that cut is also at or above the upper cut,
+    those labels are the set, again without a logistic.  Otherwise, with a label
     in the band between the cuts, it applies the logistic and the
     (inclusive) threshold to every label.  The three paths give the same set
     on every input.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"classification threshold must lie in (0, 1), got {threshold}")
-    cut, upper_cut = logit_cut(threshold), logit_upper_cut(threshold)
+    cut, upper_cut = logit_cuts(threshold)
 
     def nominate(x: np.ndarray) -> frozenset[int]:
         z = logits(model, x)

@@ -1,9 +1,10 @@
 """Exploit-chain progress tracking.
 
-The state table keeps, per exploit, an index into its fingerprint's template
-list.  Feeding an encoded call with a candidate set advances exactly those
-candidates whose *next* template it matches under cosine similarity; matching
-the final template raises an alarm and rewinds that exploit to the start.
+The state table keeps, per exploit, a cursor: the row of its next template in
+the database's template matrix.  Feeding an encoded call with a candidate set
+advances exactly those candidates whose *next* template it matches under
+cosine similarity; matching the final template raises an alarm and rewinds
+that exploit to the start.
 Exploits outside the candidate set are left untouched, which is what makes
 classifier-driven filtering sound: filtering only ever skips comparisons, it
 never changes what a tracked candidate would do.
@@ -70,18 +71,19 @@ SCREEN_MIN_CANDIDATES = 12
 
 
 class StateTable:
-    """Per-exploit chain positions: the index of each exploit's next template.
+    """Per-exploit chain positions: the row of each exploit's next template.
 
     The cursors are an int array indexed by exploit position (the index of an
-    id in ``db.exploit_ids``).  Tables built over one database share it and
-    keep separate cursors.
+    id in ``db.exploit_ids``), each holding a row of ``db.template_matrix``
+    between the exploit's ``db.start_rows`` and ``db.last_rows``.  Tables
+    built over one database share it and keep separate cursors.
     """
 
     def __init__(self, db: FingerprintDb):
         if len(db) == 0:
             raise MonitorError("cannot build a state table from an empty fingerprint database")
         self.db = db
-        self._cursors = np.zeros(len(db), dtype=np.intp)
+        self._cursors = db.start_rows.copy()
         low, high = SCREEN_NORMS
         span_low, span_high = db.template_norm_span
         self._screens = low <= span_low and span_high <= high
@@ -96,12 +98,14 @@ class StateTable:
     ) -> list[MonitorEvent]:
         """Compare ``x`` against the next template of every candidate exploit.
 
-        Each distinct candidate is one comparison.  A similarity at or above
+        Each distinct candidate is one comparison; ``db.exploit_set`` itself
+        is every exploit, found without sorting.  A similarity at or above
         the (inclusive) threshold is ``ADVANCED``, or ``ALARM`` on the last
-        template, which rewinds the exploit's index to 0 so a repeated chain
-        alarms again; below it is ``NO_MATCH`` and leaves the index.  Returns
-        the ``ADVANCED`` and ``ALARM`` events in ascending exploit-id order,
-        and with ``keep_events`` one event per candidate, ``NO_MATCH`` too.
+        template, which rewinds the exploit's cursor to its first template so
+        a repeated chain alarms again; below it is ``NO_MATCH`` and leaves the
+        cursor.  Returns the ``ADVANCED`` and ``ALARM`` events in ascending
+        exploit-id order, and with ``keep_events`` one event per candidate,
+        ``NO_MATCH`` too.
 
         Every similarity is ``_similarity(x . row, |x|, |row|)`` with one
         ``ddot`` per pair, the call's norm taken once and the row's at load,
@@ -145,15 +149,15 @@ class StateTable:
         x = np.ascontiguousarray(x, dtype=np.float64)
         if x.shape != (VECTOR_DIM,):
             raise MonitorError(f"expected feature vector of shape ({VECTOR_DIM},), got {x.shape}")
-        ids = sorted(set(candidates))
-        positions = self.db.positions
+        db = self.db
         # Every exploit, as in naive mode: positions are 0..n-1 in id order.
-        every = len(ids) == len(positions) and tuple(ids) == self.db.exploit_ids
+        every = candidates is db.exploit_set
         if every:
-            places = range(len(ids))
+            ids, places = db.exploit_ids, range(len(db))
         else:
+            ids = sorted(set(candidates))
             try:
-                places = [positions[eid] for eid in ids]
+                places = [db.positions[eid] for eid in ids]
             except KeyError as exc:
                 raise MonitorError(
                     f"candidate exploit id {exc.args[0]} is not in the state table"
@@ -161,6 +165,7 @@ class StateTable:
 
         norm = float(np.sqrt(x @ x))
         cursors = self._cursors
+        matrix, norms = db.template_matrix, db.template_norms
         low, high = SCREEN_NORMS
         pairs = zip(ids, places)
         if (
@@ -169,30 +174,27 @@ class StateTable:
             and self._screens
             and low <= norm <= high
         ):
-            db = self.db
-            where = slice(None) if every else np.array(places, dtype=np.intp)
-            rows = db.start_rows[where] + cursors[where]
-            bound = db.template_norms[rows] * ((threshold - SCREEN_SLACK) * norm)
-            dots = db.template_matrix @ x
-            kept = np.flatnonzero(dots[rows] >= bound).tolist()
+            rows = cursors if every else cursors[places]
+            bound = norms[rows] * ((threshold - SCREEN_SLACK) * norm)
+            kept = np.flatnonzero((matrix @ x)[rows] >= bound).tolist()
             pairs = [(ids[j], places[j]) for j in kept]
 
         dot = x.dot
-        fingerprints = self.db.fingerprints
+        fingerprints = db.fingerprints
         advanced, alarm, no_match = EventKind.ADVANCED, EventKind.ALARM, EventKind.NO_MATCH
         events = []
         append = events.append
         for eid, place in pairs:
-            fp = fingerprints[eid]
-            i = int(cursors[place])
-            sim = _similarity(float(dot(fp.template_rows[i])), norm, fp.template_norms[i])
+            cwe_id = fingerprints[eid].cwe_id
+            row = int(cursors[place])
+            sim = _similarity(float(dot(matrix[row])), norm, norms.item(row))
             if sim >= threshold:
-                if i == len(fp) - 1:
-                    cursors[place] = 0
-                    append(MonitorEvent(alarm, eid, fp.cwe_id, trace_offset, sim))
+                if row == db.last_rows[place]:
+                    cursors[place] = db.start_rows[place]
+                    append(MonitorEvent(alarm, eid, cwe_id, trace_offset, sim))
                 else:
-                    cursors[place] = i + 1
-                    append(MonitorEvent(advanced, eid, fp.cwe_id, trace_offset, sim))
+                    cursors[place] = row + 1
+                    append(MonitorEvent(advanced, eid, cwe_id, trace_offset, sim))
             elif keep_events:
-                append(MonitorEvent(no_match, eid, fp.cwe_id, trace_offset, sim))
+                append(MonitorEvent(no_match, eid, cwe_id, trace_offset, sim))
         return events

@@ -9,13 +9,16 @@ the feature layout reserves for them.
 Every reader of a text file goes through the helpers here, since this is the
 lowest module they all import: :func:`open_text` decodes a file the one way
 ``docs/formats.md`` documents and names the line of any bytes that are not
-UTF-8, :func:`numbered_lines` numbers and strips its lines, and
+UTF-8, :func:`decode_text` does the same for bytes already read (stdin),
+:func:`numbered_lines` numbers and strips their lines, and
 :func:`json_objects` reads the JSON-lines formats.
 """
 
 from __future__ import annotations
 
+import contextlib
 import importlib.resources
+import io
 import json
 import re
 from dataclasses import dataclass, field
@@ -49,48 +52,38 @@ SCOPE_INDEX = {name: i for i, name in enumerate(SCOPES)}
 WHITESPACE = re.compile(r"\s")
 
 
-def open_text(path: str | Path) -> "_TextFile":
+@contextlib.contextmanager
+def open_text(path: str | Path) -> Iterator[IO[str]]:
     """Open ``path`` for reading as UTF-8 text, as a context manager.
 
     Lines end only at ``\\n``, ``\\r\\n`` or ``\\r``, whatever the locale.  A
     file that is not valid UTF-8 fails, when its reader reaches the bad
-    bytes, with ``ValueError("{path} line {n}: not valid UTF-8")``.
+    bytes, with ``ValueError("{path} line {n}: not valid UTF-8")``.  Reading
+    a line costs nothing more: only that error path rereads the file, through
+    :func:`decode_text`, to find the line.
     """
-    return _TextFile(path, open(path, encoding="utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            decode_text(Path(path).read_bytes(), path)
+            raise  # the file decodes: the error came from elsewhere
 
 
-class _TextFile:
-    """``with`` over an open text file: closes it on the way out, and turns a
-    decode error into one naming the file and line.  Reading a line costs
-    nothing more; only the error path rereads the file to find the line."""
+def decode_text(data: bytes, name: str | Path) -> IO[str]:
+    """``data`` as :func:`open_text` reads a file, for bytes already read, such
+    as stdin's: UTF-8, lines ending only at ``\\n``, ``\\r\\n`` or ``\\r``.
 
-    __slots__ = ("path", "file")
-
-    def __init__(self, path: str | Path, file: IO[str]):
-        self.path, self.file = path, file
-
-    def __enter__(self) -> IO[str]:
-        return self.file
-
-    def __exit__(self, kind, exc, tb) -> None:
-        self.file.close()
-        if kind is not None and issubclass(kind, UnicodeDecodeError):
-            lineno = _first_undecodable_line(self.path)
-            if lineno is not None:
-                raise ValueError(f"{self.path} line {lineno}: not valid UTF-8") from None
-
-
-def _first_undecodable_line(path: str | Path) -> int | None:
-    """The number of the first line of ``path`` that is not valid UTF-8, or
-    None if the whole file is.  Line ends are counted as :func:`open_text` reads
-    them, so a ``\\r\\n`` is one."""
-    data = Path(path).read_bytes()
+    Bytes that are not UTF-8 fail with ``ValueError("{name} line {n}: not
+    valid UTF-8")``, naming the line of the first bad byte.
+    """
     try:
-        data.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         head = data[: exc.start]
-        return head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-    return None
+        lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ValueError(f"{name} line {lineno}: not valid UTF-8") from None
+    return io.StringIO(text, newline=None)
 
 
 def numbered_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
@@ -129,7 +122,7 @@ def _read_identifier_file(path: Path) -> list[str]:
         for lineno, line in numbered_lines(fh):
             if WHITESPACE.search(line):
                 raise VocabularyError(
-                    f"{path.name} line {lineno}: identifier contains whitespace: {line!r}"
+                    f"{path} line {lineno}: identifier contains whitespace: {line!r}"
                 )
             entries.append(line)
     return entries

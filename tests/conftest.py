@@ -18,8 +18,9 @@ def child_env(**extra: str) -> dict[str, str]:
 
 
 def next_index(table, exploit_id: int) -> int:
-    """The index of the next template ``table`` waits on for ``exploit_id``."""
-    return int(table._cursors[table.db.positions[exploit_id]])
+    """The index in its chain of the next template ``table`` waits on for ``exploit_id``."""
+    place = table.db.positions[exploit_id]
+    return int(table._cursors[place] - table.db.start_rows[place])
 
 
 # Filled in by tests/test_acceptance.py; printed after the run so the

@@ -6,6 +6,7 @@ error.  The pipeline fixtures (corpus, model) are built once per module with
 the CLI itself.
 """
 
+import io
 import json
 import re
 import shutil
@@ -490,6 +491,55 @@ class TestNotUtf8:
         config.write_bytes(b'{\n"fingerprints": "caf\xe9"\n}\n')
         rc = main(["detect-naive", str(world_files["planted"]), "--config", str(config)])
         self._assert_names(capsys, rc, config, 2)
+
+
+class TestStdin:
+    """TRACE '-' reads stdin under the rule every file follows: UTF-8, lines
+    ending only at \\n, \\r\\n or \\r, and a bad byte named by its line."""
+
+    @staticmethod
+    def _feed(monkeypatch, data: bytes) -> None:
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="ascii"))
+
+    @staticmethod
+    def _not_utf8(path) -> bytes:
+        lines = path.read_bytes().splitlines(keepends=True)
+        return lines[0] + lines[1].replace(b"{", b"{\xe9", 1) + b"".join(lines[2:])
+
+    @pytest.mark.parametrize("command", ("encode", "detect", "detect-naive"))
+    def test_same_output_as_the_file(self, world_files, cli_model, tmp_path, monkeypatch,
+                                     capsys, command):
+        """The same bytes, with mixed line ends and a UTF-8 name that is not
+        ASCII, give the same output from a file and from an ASCII stdin."""
+        call = {"api_name": "readLine\u00e9", "category": "invokevirtual",
+                "scope": "Application", "package": "Ljava/io/BufferedReader", "inputs": [],
+                "outputs": ["String"]}
+        lines = world_files["planted"].read_bytes().splitlines()
+        lines.insert(1, json.dumps(call, ensure_ascii=False).encode("utf-8"))
+        data = b"".join(line + (b"\r\n", b"\r", b"\n")[i % 3] for i, line in enumerate(lines))
+        trace = tmp_path / "t.jsonl"
+        trace.write_bytes(data)
+        flags = [] if command == "encode" else ["--fingerprints", str(world_files["fingerprints"])]
+        flags += ["--model", str(cli_model)] if command == "detect" else []
+        from_file = main([command, str(trace), *flags])
+        want = capsys.readouterr()
+        self._feed(monkeypatch, data)
+        assert main([command, "-", *flags]) == from_file
+        got = capsys.readouterr()
+        assert got.out == want.out.replace(str(trace), "<stdin>") and got.out
+        assert got.err == want.err.replace(str(trace), "<stdin>")
+        if command == "encode":
+            assert len(got.out.splitlines()) == 9
+
+    @pytest.mark.parametrize("command", ("encode", "detect", "detect-naive"))
+    def test_not_utf8_names_the_line(self, world_files, cli_model, monkeypatch, capsys, command):
+        flags = [] if command == "encode" else ["--fingerprints", str(world_files["fingerprints"])]
+        flags += ["--model", str(cli_model)] if command == "detect" else []
+        self._feed(monkeypatch, self._not_utf8(world_files["planted"]))
+        assert main([command, "-", *flags]) == 1
+        assert _one_error_line(capsys.readouterr().err) == (
+            "Error: <stdin> line 2: not valid UTF-8"
+        )
 
 
 class TestEval:

@@ -205,14 +205,34 @@ def test_events_kept_only_when_asked(small_world, small_db, encoder, whitelist):
     assert lean.summary == kept.summary
 
 
+def test_naive_steps_with_the_db_exploit_set(small_db, small_world, encoder, monkeypatch):
+    """Naive mode hands ``step`` the database's one exploit set, not a new set per trace."""
+    seen = []
+    step = StateTable.step
+
+    def spy(self, candidates, *args, **kwargs):
+        seen.append(candidates)
+        return step(self, candidates, *args, **kwargs)
+
+    monkeypatch.setattr(StateTable, "step", spy)
+    calls = mixed_trace(small_world, np.random.default_rng(4), length=20, plant=1)
+    for _ in range(2):
+        detect_naive(Trace("t", calls), encoder, WhiteList(), small_db)
+    assert seen and all(c is small_db.exploit_set for c in seen)
+
+
 def test_shared_table_carries_state_across_traces(sql_db, encoder):
-    """Passing an explicit state table resumes chain progress mid-stream."""
+    """Passing one state table to two runs resumes chain progress mid-stream."""
     templates = list(sql_db[0].templates)
     table = StateTable(sql_db)
-    first = detect_naive(Trace("a", templates[:2]), encoder, WhiteList(), sql_db, table=table)
+
+    def scan(trace):
+        return run_detection(trace, encoder, WhiteList(), table, None, EngineConfig())
+
+    first = scan(Trace("a", templates[:2]))
     assert first.alarms == []
     assert next_index(table, 0) == 2
-    second = detect_naive(Trace("b", templates[2:]), encoder, WhiteList(), sql_db, table=table)
+    second = scan(Trace("b", templates[2:]))
     assert len(second.alarms) == 1
     assert second.alarms[0].offset == 0  # offsets are per-trace
 

@@ -129,26 +129,27 @@ def test_validate_encoding_detects_drift(sql_db, encoder):
         roles=fp.roles,
         template_vectors=tampered,
     )
-    assert bad_fp.template_norms[0] == float(np.sqrt(tampered[0] @ tampered[0]))
-    assert bad_fp.template_norms[0] != fp.template_norms[0]
-    assert bad_fp.template_norms[1:] == fp.template_norms[1:]
     bad_db = FingerprintDb(fingerprints={0: bad_fp})
+    assert bad_db.template_norms[0] == float(np.sqrt(tampered[0] @ tampered[0]))
+    assert bad_db.template_norms[0] != sql_db.template_norms[0]
+    assert list(bad_db.template_norms[1:]) == list(sql_db.template_norms[1:])
     with pytest.raises(FingerprintError, match="disagree"):
         validate_encoding(bad_db, encoder)
 
 
 def test_template_norms_computed_at_load(encoder):
-    """Each norm is bit-equal to the per-row expression a comparison would use."""
+    """Each norm is bit-equal to the per-row expression a comparison would use,
+    whether taken over the fingerprint's row or the matrix row."""
     db = load_fingerprints(FIXTURES / "cwe79.fp", encoder)
-    rows = 0
-    for fp in db.fingerprints.values():
-        assert len(fp.template_rows) == len(fp.template_norms) == len(fp)
+    assert db.template_norms.shape == (327,)
+    for place, eid in enumerate(db.exploit_ids):
+        fp = db[eid]
         for i, v in enumerate(fp.template_vectors):
-            assert fp.template_norms[i].hex() == float(np.sqrt(v @ v)).hex()
-            assert np.shares_memory(fp.template_rows[i], fp.template_vectors)
-            assert np.array_equal(fp.template_rows[i], v)
-            rows += 1
-    assert rows == 327
+            row = db.start_rows[place] + i
+            assert float(db.template_norms[row]).hex() == float(np.sqrt(v @ v)).hex()
+            m = db.template_matrix[row]
+            assert float(np.sqrt(m @ m)).hex() == float(np.sqrt(v @ v)).hex()
+            assert np.array_equal(m, v)
 
 
 def test_template_vectors_read_only(sql_db):
@@ -156,9 +157,11 @@ def test_template_vectors_read_only(sql_db):
     with pytest.raises(ValueError, match="read-only"):
         fp.template_vectors[0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
-        fp.template_rows[0][0] += 1.0
+        fp.template_vectors[0][0] += 1.0
     with pytest.raises(ValueError, match="read-only"):
         fp.template_vectors *= 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        sql_db.template_matrix[0][0] += 1.0
 
 
 def test_db_cannot_go_stale(encoder, sql_db):
@@ -178,10 +181,11 @@ def test_db_cannot_go_stale(encoder, sql_db):
         db.fingerprints = {}
     with pytest.raises(dataclasses.FrozenInstanceError):
         db.exploit_ids = (0, 1)
-    for arr in (db.template_matrix, db.template_norms, db.start_rows):
+    for arr in (db.template_matrix, db.template_norms, db.start_rows, db.last_rows):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0
     assert db.exploit_ids is db.exploit_ids  # computed once
+    assert db.exploit_set is db.exploit_set
 
 
 def test_db_stacks_templates_in_id_order(encoder):
@@ -194,11 +198,15 @@ def test_db_stacks_templates_in_id_order(encoder):
         assert db.positions[eid] == place
         start = db.start_rows[place]
         stop = start + len(fp)
+        assert db.last_rows[place] == stop - 1
+        assert place == 0 or start == db.last_rows[place - 1] + 1
         np.testing.assert_array_equal(db.template_matrix[start:stop], fp.template_vectors)
-        assert [n.hex() for n in db.template_norms[start:stop]] == [
-            n.hex() for n in fp.template_norms
+        assert [float(n).hex() for n in db.template_norms[start:stop]] == [
+            float(np.sqrt(v @ v)).hex() for v in fp.template_vectors
         ]
-    norms = [n for eid in db.exploit_ids for n in db[eid].template_norms]
+    assert db.last_rows[-1] == len(db.template_matrix) - 1
+    assert db.exploit_set == frozenset(db.exploit_ids) and len(db.exploit_set) == 79
+    norms = [float(np.sqrt(v @ v)) for eid in db.exploit_ids for v in db[eid].template_vectors]
     assert db.template_norm_span == (min(norms), max(norms))
 
 
@@ -212,13 +220,14 @@ def test_db_norm_span_edges(sql_db):
     assert with_rows(zero).template_norm_span == (math.inf, 0.0)
     some_zero = fp.template_vectors.copy()
     some_zero[1] = 0.0
-    kept = [fp.template_norms[0], fp.template_norms[2]]
+    kept = [sql_db.template_norms[0], sql_db.template_norms[2]]
     assert with_rows(some_zero).template_norm_span == (min(kept), max(kept))
     nan = fp.template_vectors.copy()
     nan[1, 0] = np.nan
     assert all(math.isnan(v) for v in with_rows(nan).template_norm_span)
     empty = FingerprintDb(fingerprints={})
     assert empty.template_matrix.shape == (0, 151) and empty.start_rows.size == 0
+    assert empty.last_rows.size == 0 and empty.exploit_set == frozenset()
 
 
 class TestWhiteList:

@@ -28,8 +28,7 @@ from chainwatch.mlp import (
     forward,
     init_model,
     load_model,
-    logit_cut,
-    logit_upper_cut,
+    logit_cuts,
     loss_and_grads,
     nominator,
     save_model,
@@ -270,11 +269,9 @@ def test_nomination_exact_at_the_upper_cut(threshold, near_upper, near_lower):
 
 def test_cut_range():
     for t in CUT_THRESHOLDS:
-        assert logit_cut(t) == math.log(t / (1.0 - t)) - 1.0
-        assert logit_upper_cut(t) == math.log(t / (1.0 - t)) + 1.0
+        assert logit_cuts(t) == (math.log(t / (1.0 - t)) - 1.0, math.log(t / (1.0 - t)) + 1.0)
     for t in FULL_PATH_THRESHOLDS:
-        assert logit_cut(t) == -math.inf
-        assert logit_upper_cut(t) == math.inf
+        assert logit_cuts(t) == (-math.inf, math.inf)
 
 
 @pytest.mark.parametrize("threshold", CUT_THRESHOLDS + FULL_PATH_THRESHOLDS)

@@ -291,8 +291,10 @@ def step_db(small_db):
         roles=base.roles,
         template_vectors=vectors,
     )
-    assert ZERO_ROW_ID not in small_db and zero_row.template_norms[1] == 0.0
-    return FingerprintDb(fingerprints={**small_db.fingerprints, ZERO_ROW_ID: zero_row})
+    db = FingerprintDb(fingerprints={**small_db.fingerprints, ZERO_ROW_ID: zero_row})
+    assert ZERO_ROW_ID not in small_db
+    assert db.template_norms[db.start_rows[db.positions[ZERO_ROW_ID]] + 1] == 0.0
+    return db
 
 
 def _step_both(table, cursors, candidates, x, offset, threshold):
@@ -438,6 +440,46 @@ def test_compact_step_is_the_references_matches(wide_db):
 
     steps()
     assert screened == {False, True}
+
+
+def _event_bits(events):
+    return [(e.kind, e.exploit_id, e.cwe_id, e.trace_offset, e.similarity.hex()) for e in events]
+
+
+def test_exploit_set_steps_as_the_id_list(wide_db):
+    """``db.exploit_set``, taken without sorting, gives the events (similarity
+    bits included) and cursors of the equal sorted id list, kept or screened:
+    over drawn calls, and over every template in chain order, which reaches
+    every event kind."""
+    ids = wide_db.exploit_ids
+
+    def both(by_set, by_list, x, offset, threshold, keep_events):
+        got = by_set.step(wide_db.exploit_set, x, offset, threshold, keep_events)
+        want = by_list.step(list(ids), x, offset, threshold, keep_events)
+        assert _event_bits(got) == _event_bits(want)
+        assert np.array_equal(by_set._cursors, by_list._cursors)
+        return got
+
+    @settings(deadline=None, max_examples=50)
+    @given(data=st.data())
+    def steps(data):
+        by_set, by_list = StateTable(wide_db), StateTable(wide_db)
+        cursors = dict.fromkeys(ids, 0)
+        keep_events = data.draw(st.booleans())
+        for offset in range(data.draw(st.integers(1, 20))):
+            _, x, threshold = data.draw(_step_args(wide_db, cursors, st.just(())))
+            both(by_set, by_list, x, offset, threshold, keep_events)
+            cursors = {eid: next_index(by_set, eid) for eid in ids}
+
+    steps()
+    kinds = set()
+    rows = [row for eid in ids for row in wide_db[eid].template_vectors]
+    for keep_events in (False, True):
+        by_set, by_list = StateTable(wide_db), StateTable(wide_db)
+        for offset, row in enumerate(rows):
+            got = both(by_set, by_list, row, offset, DEFAULT_COSINE_THRESHOLD, keep_events)
+            kinds.update(e.kind for e in got)
+    assert kinds == set(EventKind)
 
 
 def test_screen_keeps_every_match_at_threshold_one(wide_db):

@@ -10,6 +10,7 @@ import json
 import numpy as np
 import pytest
 
+from chainwatch.fingerprints import FingerprintDb
 from chainwatch.sdg import (
     EDGE_LABELS,
     FLOW_LABELS,
@@ -175,7 +176,8 @@ def test_lower_fingerprint_requires_roles(sql_db):
         roles=(None,) * len(fp.templates),
         template_vectors=fp.template_vectors,
     )
-    assert unroled.template_norms == fp.template_norms
+    unroled_db = FingerprintDb(fingerprints={fp.exploit_id: unroled})
+    assert list(unroled_db.template_norms) == list(sql_db.template_norms)
     with pytest.raises(MissingRoleAnnotation):
         lower_fingerprint(unroled)
 

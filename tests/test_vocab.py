@@ -1,3 +1,4 @@
+import re
 import sys
 
 import pytest
@@ -11,6 +12,7 @@ from chainwatch.vocab import (
     WHITESPACE,
     Vocabularies,
     VocabularyError,
+    decode_text,
     load_vocabularies,
     open_text,
 )
@@ -68,7 +70,8 @@ def test_categories_file_must_match(tmp_path):
 def test_whitespace_identifier_rejected(tmp_path):
     (tmp_path / "packages.txt").write_text("ok\nhas space\n" + "".join(f"p{i}\n" for i in range(20)))
     (tmp_path / "io_types.txt").write_text("".join(f"t{i}\n" for i in range(24)))
-    with pytest.raises(VocabularyError, match="whitespace"):
+    where = re.escape(f"{tmp_path / 'packages.txt'} line 2: identifier contains whitespace")
+    with pytest.raises(VocabularyError, match=f"^{where}"):
         load_vocabularies(tmp_path)
 
 
@@ -109,6 +112,19 @@ def test_open_text_names_the_first_undecodable_line(tmp_path, data, line):
             fh.read()
     assert str(info.value) == f"{path} line {line}: not valid UTF-8"
     assert not isinstance(info.value, UnicodeDecodeError)
+    with pytest.raises(ValueError, match=f"^<stdin> line {line}: not valid UTF-8$"):
+        decode_text(data, "<stdin>")
+
+
+def test_decode_text_splits_lines_as_open_text(tmp_path):
+    data = "a\r\nb\rc\n d\x0ce\x1c\x85\u2028f\r\r\n\ng".encode("utf-8")
+    path = tmp_path / "f.txt"
+    path.write_bytes(data)
+    with open_text(path) as fh:
+        lines = list(fh)
+    assert list(decode_text(data, path)) == lines == [
+        "a\n", "b\n", "c\n", " d\x0ce\x1c\x85\u2028f\n", "\n", "\n", "g"
+    ]
 
 
 def test_open_text_keeps_other_decode_errors(tmp_path):
