@@ -4,18 +4,15 @@ r"""Print one sha256 per detection mode, and one for training, over everything t
     python3 scripts/output_digest.py --corpus CORPUS --model MODEL --fingerprints FP
 
 Runs ``engine.detect`` and ``engine.detect_naive`` over every trace of one
-corpus split (sorted by file name, a fresh state table per trace, events
-kept, the bundled embeddings, vocabularies and white-list unless given) and
-hashes every field of every ``AlarmRecord``, ``MonitorEvent`` and
-``SessionSummary`` in order.  Then runs both again with events not kept, the
-path the CLI takes, and hashes the alarms and summaries alike.  Then runs
+corpus split (sorted by file name, a fresh state table per trace, the bundled
+embeddings, vocabularies and white-list unless given) and hashes every field
+of every ``AlarmRecord`` and ``SessionSummary`` in order.  Then runs
 ``mlp.train`` on the corpus's train split with the benchmark's round recipe
 (``TRAIN_CONFIG``) and hashes every tensor's bytes and every loss of its
-report.  Floats are hashed as
-``float.hex``, so two trees print the same digest only when their outputs are
-bit-identical.  One line per detection mode, ``<mode> alarms=<n> events=<n>
-sha256=<hex>`` (``detect``, ``detect_naive``, ``detect_no_events``,
-``detect_naive_no_events``), then ``train rows=<n> sha256=<hex>``.
+report.  Floats are hashed as ``float.hex``, so two trees print the same
+digest only when their outputs are bit-identical.  One line per detection
+mode, ``<mode> alarms=<n> sha256=<hex>`` (``detect``, ``detect_naive``), then
+``train rows=<n> sha256=<hex>``.
 
 It imports ``chainwatch`` from the ``src`` next to it, so a copy placed in
 another checkout digests that checkout.
@@ -38,10 +35,8 @@ The model is the benchmark's (``perfbench/inputs.py``).  On x86-64 Linux,
 Python 3.11, NumPy 2.4 with its bundled OpenBLAS 0.3.31 (Haswell kernels),
 the digest prints:
 
-    detect alarms=263 events=1256 sha256=bfb2061d9107edf22a40a838048378675f6ed8e812b89fd2ae11e05f6409a812
-    detect_naive alarms=263 events=499675 sha256=ab17cef59eb5fe50945e800e73db6857e1900363b1f52eef104b146962b00d09
-    detect_no_events alarms=263 events=0 sha256=6b764846bf8e402256edca0bdcd9463965801437ac6356195780661ae549f606
-    detect_naive_no_events alarms=263 events=0 sha256=287cb2149d7f507ce38c6f1bab4a10d1f54f7eb3617497059570bbd8fbffdff9
+    detect alarms=263 sha256=6b764846bf8e402256edca0bdcd9463965801437ac6356195780661ae549f606
+    detect_naive alarms=263 sha256=287cb2149d7f507ce38c6f1bab4a10d1f54f7eb3617497059570bbd8fbffdff9
     train rows=38309 sha256=9a01fd72e361fc44569e008834af3840d0e62c6098731be7857ed604e4ad5ac8
 
 A change that keeps every output bit prints these lines unchanged.
@@ -51,7 +46,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import enum
 import hashlib
 import sys
 from pathlib import Path
@@ -70,8 +64,6 @@ TRAIN_CONFIG = mlp.TrainConfig(learning_rate=2.0, epochs=2, batch_size=32, seed=
 def _field(value) -> str:
     if isinstance(value, float):
         return value.hex()
-    if isinstance(value, enum.Enum):
-        return value.name
     return repr(value)
 
 
@@ -80,15 +72,14 @@ def _record(obj) -> bytes:
     return (type(obj).__name__ + "(" + ",".join(f"{k}={v}" for k, v in fields) + ")\n").encode()
 
 
-def digest(results) -> tuple[int, int, str]:
+def digest(results) -> tuple[int, str]:
     h = hashlib.sha256()
-    alarms = events = 0
+    alarms = 0
     for result in results:
-        for record in (*result.alarms, *result.events, result.summary):
+        for record in (*result.alarms, result.summary):
             h.update(_record(record))
         alarms += len(result.alarms)
-        events += len(result.events)
-    return alarms, events, h.hexdigest()
+    return alarms, h.hexdigest()
 
 
 def train_digest(model: mlp.MlpModel, report: mlp.TrainReport) -> str:
@@ -116,14 +107,12 @@ def main() -> int:
     model = mlp.load_model(args.model)
     traces = [item.trace for item in corpus.load_split(args.corpus, args.split, encoder.vocabs)]
     modes = {
-        "detect": lambda t: engine.detect(t, encoder, whitelist, db, model, keep_events=True),
-        "detect_naive": lambda t: engine.detect_naive(t, encoder, whitelist, db, keep_events=True),
-        "detect_no_events": lambda t: engine.detect(t, encoder, whitelist, db, model),
-        "detect_naive_no_events": lambda t: engine.detect_naive(t, encoder, whitelist, db),
+        "detect": lambda t: engine.detect(t, encoder, whitelist, db, model),
+        "detect_naive": lambda t: engine.detect_naive(t, encoder, whitelist, db),
     }
     for mode, run in modes.items():
-        alarms, events, hexdigest = digest(run(t) for t in traces)
-        print(f"{mode} alarms={alarms} events={events} sha256={hexdigest}")
+        alarms, hexdigest = digest(run(t) for t in traces)
+        print(f"{mode} alarms={alarms} sha256={hexdigest}")
 
     items = corpus.load_split(args.corpus, "train", encoder.vocabs)
     x, t = corpus.build_xy(items, encoder, corpus.read_manifest(args.corpus)["n_labels"])

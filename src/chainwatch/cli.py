@@ -106,9 +106,10 @@ _threshold_classify_opt = click.option(
     "--threshold-classify", default=DEFAULT_CLASSIFY_THRESHOLD,
     type=click.FloatRange(0.0, 1.0, min_open=True, max_open=True),
     help="Probability needed to nominate a label.")
-_threshold_cosine_opt = click.option("--threshold-cosine", type=float,
-                                     default=DEFAULT_COSINE_THRESHOLD,
-                                     help="Similarity needed to advance a chain.")
+_threshold_cosine_opt = click.option(
+    "--threshold-cosine", default=DEFAULT_COSINE_THRESHOLD,
+    type=click.FloatRange(0.0, 1.0, min_open=True),
+    help="Similarity needed to advance a chain.")
 _halt_opt = click.option("--halt-on-alarm", is_flag=True,
                          help="Stop at the first alarm instead of scanning the whole trace.")
 _alarm_out_opt = click.option("--out", default="-",
@@ -375,7 +376,8 @@ def eval_cmd(embeddings, vocab_dir, fingerprints, model, corpus, split_name, pre
 @_corpus_opt
 @_split_name_opt
 @click.option("--repetitions", type=int, default=3, help="Measured passes.")
-@click.option("--max-traces", type=int, help="Cap the number of traces benchmarked.")
+@click.option("--max-traces", type=click.IntRange(min=1),
+              help="Cap the number of traces benchmarked.")
 @click.option("--json-out", help="Also write the full report as JSON.")
 def bench_cmd(embeddings, vocab_dir, fingerprints, whitelist, model, corpus, split_name,
               repetitions, max_traces, json_out):
@@ -386,8 +388,7 @@ def bench_cmd(embeddings, vocab_dir, fingerprints, whitelist, model, corpus, spl
     classifier = mlp.load_model(model)
     items = corpus_mod.load_split(corpus, split_name, encoder.vocabs)
     traces = [item.trace for item in items]
-    if max_traces:
-        traces = traces[:max_traces]
+    traces = traces[:max_traces]
     report = bench_mod.run_bench(traces, encoder, wl, db, classifier, repetitions=repetitions)
     e, n = report.engine, report.naive
     click.echo(

@@ -79,6 +79,7 @@ class SessionSummary:
 class DetectionResult:
     alarms: list[AlarmRecord]
     summary: SessionSummary
+    # Always empty; perfbench/traced.py reads its length.  Goes with ROADMAP item 1.
     events: list[MonitorEvent] = field(default_factory=list)
 
 
@@ -100,7 +101,6 @@ def run_detection(
     table: StateTable,
     candidate_fn: CandidateFn | None,
     config: EngineConfig,
-    keep_events: bool = False,
 ) -> DetectionResult:
     """Run the pipeline over one trace against an existing state table.
 
@@ -110,16 +110,12 @@ def run_detection(
     call to it is one classifier invocation.  ``None`` is naive mode: every
     exploit in the table's database is a candidate on every call, and the
     classifier is never invoked.
-    ``keep_events`` keeps every ``MonitorEvent`` in ``DetectionResult.events``,
-    one per comparison; otherwise ``events`` stays empty and the state table
-    builds only the matches.  Alarms and the summary are the same either way.
     """
     tid = trace.source_id if isinstance(trace, Trace) else "<calls>"
 
     summary = SessionSummary(trace_id=tid)
     alarms: list[AlarmRecord] = []
-    events: list[MonitorEvent] = []
-    alarm, no_match = EventKind.ALARM, EventKind.NO_MATCH
+    alarm = EventKind.ALARM
     every = table.db.exploit_set
 
     for offset, call in enumerate(trace):
@@ -136,16 +132,9 @@ def run_detection(
             candidates = candidate_fn(x)
         if not candidates:
             continue
-        step_events = table.step(
-            candidates, x, offset, threshold=config.threshold_cosine, keep_events=keep_events
-        )
+        matched = table.step(candidates, x, offset, threshold=config.threshold_cosine)
         summary.monitor_steps += 1
         summary.comparisons += len(candidates)
-        if keep_events:
-            events.extend(step_events)
-            matched = [e for e in step_events if e.kind is not no_match]
-        else:
-            matched = step_events
         summary.no_match_events += len(candidates) - len(matched)
         for event in matched:
             if event.kind is alarm:
@@ -165,7 +154,7 @@ def run_detection(
             summary.halted = True
             break
 
-    return DetectionResult(alarms=alarms, summary=summary, events=events)
+    return DetectionResult(alarms=alarms, summary=summary)
 
 
 def detect(
@@ -175,14 +164,11 @@ def detect(
     db: FingerprintDb,
     model: mlp.MlpModel,
     config: EngineConfig | None = None,
-    keep_events: bool = False,
 ) -> DetectionResult:
     """Classifier-filtered detection over one trace, with a fresh state table."""
     config = config if config is not None else EngineConfig()
     nominate = classifier_candidates(model, db, config.threshold_classify)
-    return run_detection(
-        trace, encoder, whitelist, StateTable(db), nominate, config, keep_events=keep_events
-    )
+    return run_detection(trace, encoder, whitelist, StateTable(db), nominate, config)
 
 
 def detect_naive(
@@ -191,11 +177,8 @@ def detect_naive(
     whitelist: WhiteList,
     db: FingerprintDb,
     config: EngineConfig | None = None,
-    keep_events: bool = False,
 ) -> DetectionResult:
     """Exhaustive detection: every stored exploit is a candidate on every call,
     with a fresh state table."""
     config = config if config is not None else EngineConfig()
-    return run_detection(
-        trace, encoder, whitelist, StateTable(db), None, config, keep_events=keep_events
-    )
+    return run_detection(trace, encoder, whitelist, StateTable(db), None, config)

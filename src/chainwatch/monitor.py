@@ -10,8 +10,8 @@ classifier-driven filtering sound: filtering only ever skips comparisons, it
 never changes what a tracked candidate would do.
 
 The table holds only these cursors.  A step returns the events of the
-candidates that advance or alarm, and those that do not match only when asked
-to; the engine's ``SessionSummary`` counts comparisons, steps and alarms.
+candidates that advance or alarm; a candidate that is not matched leaves no
+event, and the engine's ``SessionSummary`` counts comparisons, steps and alarms.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ class MonitorError(ValueError):
 class EventKind(enum.Enum):
     ADVANCED = "advanced"
     ALARM = "alarm"
-    NO_MATCH = "no_match"
 
 
 @dataclass(slots=True)
@@ -94,7 +93,6 @@ class StateTable:
         x: np.ndarray,
         trace_offset: int,
         threshold: float = DEFAULT_COSINE_THRESHOLD,
-        keep_events: bool = False,
     ) -> list[MonitorEvent]:
         """Compare ``x`` against the next template of every candidate exploit.
 
@@ -102,18 +100,17 @@ class StateTable:
         is every exploit, found without sorting.  A similarity at or above
         the (inclusive) threshold is ``ADVANCED``, or ``ALARM`` on the last
         template, which rewinds the exploit's cursor to its first template so
-        a repeated chain alarms again; below it is ``NO_MATCH`` and leaves the
-        cursor.  Returns the ``ADVANCED`` and ``ALARM`` events in ascending
-        exploit-id order, and with ``keep_events`` one event per candidate,
-        ``NO_MATCH`` too.
+        a repeated chain alarms again; below it the candidate is not matched
+        and keeps its cursor.  Returns the ``ADVANCED`` and ``ALARM`` events
+        in ascending exploit-id order.
 
         Every similarity is ``_similarity(x . row, |x|, |row|)`` with one
         ``ddot`` per pair, the call's norm taken once and the row's at load,
         equal bit for bit to ``cosine(x, row)`` in ``tests/oracles.py``,
-        which its ``reference_step`` checks.  Without ``keep_events``, a
-        set of at least ``SCREEN_MIN_CANDIDATES`` candidates is screened first
-        by one product ``D = M @ x`` over every template row: a pair is
-        dropped, as a ``NO_MATCH``, when
+        which its ``reference_step`` checks.  A set of at least
+        ``SCREEN_MIN_CANDIDATES`` candidates is screened first by one product
+        ``D = M @ x`` over every template row: a pair is dropped, as not
+        matched, when
 
             D[row] < (t - eps) * |x| * |row|,       eps = SCREEN_SLACK = 1e-9,
 
@@ -136,10 +133,10 @@ class StateTable:
           is at most (t - eps) N + 3.1u N, as |t - eps| <= 1.
 
         So for a match D[row] - bound >= N (eps - 5.1u - 2.1 gamma_n) > 0,
-        and ``<`` fails.  Where a norm is zero the exact path gives 0.0, a
-        ``NO_MATCH``, and ``<`` fails as well: with a zero call (which also
-        fails the guard) or an all-zero template row every product is zero,
-        so ``D[row]`` and the bound are both zero.  Under the guard no NaN
+        and ``<`` fails.  Where a norm is zero the exact path gives 0.0, so
+        the pair is not matched, and ``<`` fails as well: with a zero call
+        (which also fails the guard) or an all-zero template row every
+        product is zero, so ``D[row]`` and the bound are both zero.  Under the guard no NaN
         reaches the comparison, so keeping ``D[row] >= bound`` drops exactly
         the pairs above.  Outside the guard, or with fewer candidates, every
         pair takes the exact path.
@@ -168,12 +165,7 @@ class StateTable:
         matrix, norms = db.template_matrix, db.template_norms
         low, high = SCREEN_NORMS
         pairs = zip(ids, places)
-        if (
-            not keep_events
-            and len(ids) >= SCREEN_MIN_CANDIDATES
-            and self._screens
-            and low <= norm <= high
-        ):
+        if len(ids) >= SCREEN_MIN_CANDIDATES and self._screens and low <= norm <= high:
             rows = cursors if every else cursors[places]
             bound = norms[rows] * ((threshold - SCREEN_SLACK) * norm)
             kept = np.flatnonzero((matrix @ x)[rows] >= bound).tolist()
@@ -181,7 +173,7 @@ class StateTable:
 
         dot = x.dot
         fingerprints = db.fingerprints
-        advanced, alarm, no_match = EventKind.ADVANCED, EventKind.ALARM, EventKind.NO_MATCH
+        advanced, alarm = EventKind.ADVANCED, EventKind.ALARM
         events = []
         append = events.append
         for eid, place in pairs:
@@ -195,6 +187,4 @@ class StateTable:
                 else:
                     cursors[place] = row + 1
                     append(MonitorEvent(advanced, eid, cwe_id, trace_offset, sim))
-            elif keep_events:
-                append(MonitorEvent(no_match, eid, cwe_id, trace_offset, sim))
         return events

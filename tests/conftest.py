@@ -4,6 +4,7 @@ import pytest
 
 from chainwatch.encoder import FeatureEncoder
 from chainwatch.fingerprints import WhiteList, load_fingerprints
+from chainwatch.monitor import StateTable
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC_DIR = ROOT / "src"
@@ -21,6 +22,20 @@ def next_index(table, exploit_id: int) -> int:
     """The index in its chain of the next template ``table`` waits on for ``exploit_id``."""
     place = table.db.positions[exploit_id]
     return int(table._cursors[place] - table.db.start_rows[place])
+
+
+@pytest.fixture
+def recorded_steps(monkeypatch) -> list[tuple[int, int]]:
+    """``(trace_offset, distinct candidates)`` of every ``StateTable.step`` call, in order."""
+    steps = []
+    step = StateTable.step
+
+    def record(self, candidates, x, trace_offset, *args, **kwargs):
+        steps.append((trace_offset, len(set(candidates))))
+        return step(self, candidates, x, trace_offset, *args, **kwargs)
+
+    monkeypatch.setattr(StateTable, "step", record)
+    return steps
 
 
 # Filled in by tests/test_acceptance.py; printed after the run so the

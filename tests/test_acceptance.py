@@ -338,7 +338,7 @@ def test_criterion_7_graph_matching(encoder, sql_db):
     )
 
 
-def test_criterion_8_pipeline_ordering(encoder, whitelist, sql_db, vocabs):
+def test_criterion_8_pipeline_ordering(encoder, whitelist, sql_db, vocabs, recorded_steps):
     wl_call = InstructionCall("println", "invokevirtual", "Application", vocabs.packages[0])
     fillers = [
         InstructionCall(name, "invokestatic", "Application", vocabs.packages[1])
@@ -352,17 +352,16 @@ def test_criterion_8_pipeline_ordering(encoder, whitelist, sql_db, vocabs):
     assert sum(c.api_name in whitelist for c in calls) == 300
 
     model = mlp.init_model(0)
-    res = detect(calls, encoder, whitelist, sql_db, model, keep_events=True)
-    s = res.summary
-    # Every comparison produces exactly one event carrying its trace offset,
-    # so attributing work to white-listed positions is a direct lookup.
-    on_whitelisted = sum(ev.trace_offset in wl_positions for ev in res.events)
+    s = detect(calls, encoder, whitelist, sql_db, model).summary
+    # Every monitor step is recorded with its trace offset and its distinct
+    # candidates, so attributing work to white-listed positions is a direct lookup.
+    on_whitelisted = sum(n for offset, n in recorded_steps if offset in wl_positions)
     accounting_ok = (
         s.total_calls == 1000
         and s.whitelisted_calls == 300
         and s.classifier_invocations == 700
         and s.encoded_calls == 700
-        and s.comparisons == len(res.events)
+        and s.comparisons == sum(n for _, n in recorded_steps)
         and on_whitelisted == 0
     )
 

@@ -187,6 +187,18 @@ class TestDetect:
         ])
         assert rc == 1
 
+    @pytest.mark.parametrize("command", ("detect", "detect-naive"))
+    @pytest.mark.parametrize("value", ("0", "1.5"))
+    def test_threshold_cosine_out_of_range_names_the_flag(self, command, value, tmp_path, capsys):
+        """Refused as usage before any file is read: the paths given do not exist."""
+        missing = str(tmp_path / "missing")
+        model = ["--model", missing] if command == "detect" else []
+        rc = main([command, missing, "--fingerprints", missing, *model,
+                   "--threshold-cosine", value])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--threshold-cosine" in err and "missing" not in err
+
     def test_env_var_supplies_fingerprints(self, world_files, monkeypatch, capsys):
         monkeypatch.setenv("CHAINWATCH_FINGERPRINTS", str(world_files["fingerprints"]))
         rc = main(["detect-naive", str(world_files["planted"])])
@@ -667,6 +679,17 @@ class TestBench:
         assert tail["comparison_ratio"] is None
         assert tail["latency_ratio"] is None
         assert "comparison ratio (naive/engine): n/a   latency ratio: n/a" in out
+
+    @pytest.mark.parametrize("value", ("0", "-1"))
+    def test_max_traces_below_one_names_the_flag(self, value, tmp_path, capsys):
+        """0 used to bench every trace and -1 all but the last; both are refused
+        as usage before any file is read."""
+        missing = str(tmp_path / "missing")
+        rc = main(["bench", "--corpus", missing, "--fingerprints", missing,
+                   "--model", missing, "--max-traces", value])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--max-traces" in err and "missing" not in err
 
 
 def test_usage_error_exit_1(capsys):

@@ -62,23 +62,23 @@ def test_naive_detects_planted_chain(sql_db, encoder):
     assert result.summary.classifier_invocations == 0  # naive mode
 
 
-def test_whitelist_short_circuits(sql_db, encoder, small_world):
+def test_whitelist_short_circuits(sql_db, encoder, small_world, recorded_steps):
     """A whitelisted call is dropped before encoding, nomination and matching."""
     wl = WhiteList(["readLine"])  # whitelist the chain's own source
     trace = Trace("demo", list(sql_db[0].templates))
-    result = detect_naive(trace, encoder, wl, sql_db, keep_events=True)
+    result = detect_naive(trace, encoder, wl, sql_db)
     s = result.summary
     assert s.total_calls == 3
     assert s.whitelisted_calls == 1
     assert s.encoded_calls == 2
     assert s.monitor_steps == 2
-    # no event carries the white-listed offset 0
-    assert [e.trace_offset for e in result.events] == [1, 2]
+    # no step is taken at the white-listed offset 0
+    assert recorded_steps == [(1, 1), (2, 1)]
     # source never seen, so the chain cannot complete
     assert result.alarms == []
 
 
-def test_empty_candidates_skip_monitor(sql_db, encoder):
+def test_empty_candidates_skip_monitor(sql_db, encoder, recorded_steps):
     trace = Trace("demo", list(sql_db[0].templates))
     table = StateTable(sql_db)
     result = run_detection(
@@ -90,7 +90,7 @@ def test_empty_candidates_skip_monitor(sql_db, encoder):
     assert s.encoded_calls == 3
     assert s.monitor_steps == 0
     assert s.comparisons == 0
-    assert result.events == []
+    assert recorded_steps == []
     assert next_index(table, 0) == 0
 
 
@@ -181,28 +181,18 @@ def test_detect_with_model_smoke(sql_db, encoder):
     assert s.advanced_events + s.no_match_events + s.alarms == s.comparisons
 
 
-def test_naive_comparisons_match_events(small_world, small_db, encoder, whitelist):
-    """Naive mode counts one comparison per event, on a multi-exploit database."""
+def test_naive_comparisons_match_events(small_world, small_db, encoder, whitelist, recorded_steps):
+    """Naive mode counts one comparison per exploit on every step, on a
+    multi-exploit database; each is advanced, alarmed or not matched."""
     rng = np.random.default_rng(41)
     calls = mixed_trace(small_world, rng, length=100, plant=3)
-    result = detect_naive(Trace("n", calls), encoder, whitelist, small_db, keep_events=True)
+    result = detect_naive(Trace("n", calls), encoder, whitelist, small_db)
     s = result.summary
     assert len(small_db) > 1
     assert s.alarms > 0
-    assert s.comparisons == len(result.events) == s.monitor_steps * len(small_db)
+    assert len(recorded_steps) == s.monitor_steps
+    assert s.comparisons == sum(n for _, n in recorded_steps) == s.monitor_steps * len(small_db)
     assert s.advanced_events + s.no_match_events + s.alarms == s.comparisons
-
-
-def test_events_kept_only_when_asked(small_world, small_db, encoder, whitelist):
-    """By default no event is kept; alarms and the summary do not depend on it."""
-    rng = np.random.default_rng(41)
-    trace = Trace("n", mixed_trace(small_world, rng, length=100, plant=3))
-    lean = detect_naive(trace, encoder, whitelist, small_db)
-    kept = detect_naive(trace, encoder, whitelist, small_db, keep_events=True)
-    assert lean.events == []
-    assert len(kept.events) == kept.summary.comparisons > 0
-    assert lean.alarms == kept.alarms and lean.alarms
-    assert lean.summary == kept.summary
 
 
 def test_naive_steps_with_the_db_exploit_set(small_db, small_world, encoder, monkeypatch):

@@ -6,6 +6,7 @@ cosine match means literal call equality and the equality-based matcher in
 tests/oracles.py is an exact oracle.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -127,19 +128,19 @@ def test_repeated_chain_alarms_again(sql_db):
 def test_no_match_leaves_state(sql_db):
     table = StateTable(sql_db)
     vecs = sql_db[0].template_vectors
-    events = table.step([0], vecs[2], trace_offset=0, keep_events=True)  # sink first: wrong order
-    assert events[0].kind == EventKind.NO_MATCH
+    assert table.step([0], vecs[2], trace_offset=0) == []  # sink first: wrong order
     assert next_index(table, 0) == 0
 
 
 def test_out_of_order_chain_never_alarms(sql_db):
+    """Sink and middle first match nothing; the source then advances once."""
     table = StateTable(sql_db)
     vecs = sql_db[0].template_vectors
     events = []
     for off, v in enumerate([vecs[2], vecs[1], vecs[0]]):
-        events += table.step([0], v, off, keep_events=True)
-    assert len(events) == 3
-    assert _alarms(events) == 0
+        events += table.step([0], v, off)
+    assert [(e.kind, e.trace_offset) for e in events] == [(EventKind.ADVANCED, 2)]
+    assert next_index(table, 0) == 1
 
 
 def test_non_candidates_untouched(small_db, encoder, small_world):
@@ -153,18 +154,28 @@ def test_non_candidates_untouched(small_db, encoder, small_world):
 
 
 def test_events_sorted_and_one_per_candidate(small_db, encoder):
-    table = StateTable(small_db)
-    x = encoder.encode(small_db[3].templates[0])
-    events = table.step([5, 0, 3, 1], x, 7, keep_events=True)
-    assert [e.exploit_id for e in events] == [0, 1, 3, 5]
-    assert all(e.trace_offset == 7 for e in events)
+    """Four exploits wait on one template: each advances once, in ascending id
+    order.  The ids are ones a set of them does not iterate in order."""
+    ids = (2, 9, 33, 40)
+    assert list(set(ids)) != sorted(ids)
+    base = small_db[3]
+    db = FingerprintDb(
+        fingerprints={eid: dataclasses.replace(base, exploit_id=eid) for eid in ids}
+    )
+    table = StateTable(db)
+    events = table.step([33, 2, 40, 9], encoder.encode(base.templates[0]), 7)
+    assert [e.exploit_id for e in events] == list(ids)
+    assert all(e.kind is EventKind.ADVANCED and e.trace_offset == 7 for e in events)
+    assert [next_index(table, eid) for eid in ids] == [1, 1, 1, 1]
 
 
-def test_duplicate_candidates_collapse(small_db, encoder):
+def test_duplicate_candidates_collapse(small_db, encoder, exact_pairs):
     table = StateTable(small_db)
     x = encoder.encode(small_db[0].templates[0])
-    events = table.step([0, 0, 0], x, 0, keep_events=True)
-    assert len(events) == 1
+    events = table.step([0, 0, 0], x, 0)
+    assert [(e.kind, e.exploit_id) for e in events] == [(EventKind.ADVANCED, 0)]
+    assert len(exact_pairs) == 1  # one comparison
+    assert next_index(table, 0) == 1
 
 
 def test_unknown_candidate_rejected(sql_db):
@@ -297,13 +308,20 @@ def step_db(small_db):
     return db
 
 
-def _step_both(table, cursors, candidates, x, offset, threshold):
-    """Step the table and the reference alike; events (similarity to the bit) and cursors agree."""
-    got = table.step(candidates, x, offset, threshold=threshold, keep_events=True)
+def _step_compact(table, cursors, candidates, x, offset, threshold):
+    """Step the table and the reference alike: the reference's matches, to the bit."""
+    got = table.step(candidates, x, offset, threshold=threshold)
+    return _assert_matches(got, table, cursors, candidates, x, offset, threshold)
+
+
+def _assert_matches(got, table, cursors, candidates, x, offset, threshold):
+    """``got`` is the reference's ``ADVANCED`` and ``ALARM`` events, similarity
+    bits included, and every cursor of ``table`` equals the reference's."""
     want = reference_step(table.db, cursors, candidates, x, offset, threshold)
+    matches = [(k, eid, cwe, off, sim.hex()) for k, eid, cwe, off, sim in want if k != "NO_MATCH"]
     assert [
         (e.kind.name, e.exploit_id, e.cwe_id, e.trace_offset, e.similarity.hex()) for e in got
-    ] == [(kind, eid, cwe, off, sim.hex()) for kind, eid, cwe, off, sim in want]
+    ] == matches
     assert {eid: next_index(table, eid) for eid in table.db.exploit_ids} == cursors
     return got
 
@@ -342,12 +360,12 @@ def _step_args(db, cursors, candidates=None):
 @settings(deadline=None)
 @given(data=st.data())
 def test_step_is_bit_equal_to_reference(step_db, data):
-    """Events, similarities to the bit, and cursors match one cosine() per candidate."""
+    """Matches, similarities to the bit, and cursors follow one cosine() per candidate."""
     table = StateTable(step_db)
     cursors = dict.fromkeys(step_db.exploit_ids, 0)
     for offset in range(data.draw(st.integers(1, 30))):
         candidates, x, threshold = data.draw(_step_args(step_db, cursors))
-        _step_both(table, cursors, candidates, x, offset, threshold)
+        _step_compact(table, cursors, candidates, x, offset, threshold)
 
 
 def test_step_clamps_and_zero_norms_as_reference(step_db):
@@ -356,14 +374,14 @@ def test_step_clamps_and_zero_norms_as_reference(step_db):
     cursors = dict.fromkeys(step_db.exploit_ids, 0)
 
     def step(candidates, x, offset, threshold=DEFAULT_COSINE_THRESHOLD):
-        return _step_both(table, cursors, candidates, x, offset, threshold)
+        return _step_compact(table, cursors, candidates, x, offset, threshold)
 
     first = step_db[ZERO_ROW_ID].template_vectors[0]
     assert [e.kind for e in step([ZERO_ROW_ID], first, 0)] == [EventKind.ADVANCED]
-    on_zero_row = step([ZERO_ROW_ID, ZERO_ROW_ID], first, 1)
-    assert [(e.kind, e.similarity) for e in on_zero_row] == [(EventKind.NO_MATCH, 0.0)]
-    zero_call = step(step_db.exploit_ids, np.zeros(VECTOR_DIM), 2)
-    assert {(e.kind, e.similarity) for e in zero_call} == {(EventKind.NO_MATCH, 0.0)}
+    advanced = dict(cursors)
+    assert step([ZERO_ROW_ID, ZERO_ROW_ID], first, 1) == []  # a zero row matches nothing
+    assert step(step_db.exploit_ids, np.zeros(VECTOR_DIM), 2) == []  # nor does a zero call
+    assert cursors == advanced
 
     clamped = 0
     offset = 3
@@ -401,25 +419,9 @@ def wide_db(encoder, step_db):
     return db
 
 
-def _step_compact(table, cursors, candidates, x, offset, threshold):
-    """Step the table without events kept: the reference's matches, to the bit."""
-    got = table.step(candidates, x, offset, threshold=threshold)
-    return _assert_matches(got, table, cursors, candidates, x, offset, threshold)
-
-
-def _assert_matches(got, table, cursors, candidates, x, offset, threshold):
-    want = reference_step(table.db, cursors, candidates, x, offset, threshold)
-    matches = [(k, eid, cwe, off, sim.hex()) for k, eid, cwe, off, sim in want if k != "NO_MATCH"]
-    assert [
-        (e.kind.name, e.exploit_id, e.cwe_id, e.trace_offset, e.similarity.hex()) for e in got
-    ] == matches
-    assert {eid: next_index(table, eid) for eid in table.db.exploit_ids} == cursors
-    return got
-
-
 def test_compact_step_is_the_references_matches(wide_db):
-    """With events not kept, the screened and the exact path return exactly the
-    reference's ADVANCED and ALARM events, and move the cursors alike."""
+    """The screened and the exact path return exactly the reference's ADVANCED
+    and ALARM events, and move the cursors alike."""
     ids = wide_db.exploit_ids
     candidates = st.one_of(
         st.lists(st.sampled_from(ids), max_size=SCREEN_MIN_CANDIDATES - 1),
@@ -448,14 +450,13 @@ def _event_bits(events):
 
 def test_exploit_set_steps_as_the_id_list(wide_db):
     """``db.exploit_set``, taken without sorting, gives the events (similarity
-    bits included) and cursors of the equal sorted id list, kept or screened:
-    over drawn calls, and over every template in chain order, which reaches
-    every event kind."""
+    bits included) and cursors of the equal sorted id list: over drawn calls,
+    and over every template in chain order, which reaches every event kind."""
     ids = wide_db.exploit_ids
 
-    def both(by_set, by_list, x, offset, threshold, keep_events):
-        got = by_set.step(wide_db.exploit_set, x, offset, threshold, keep_events)
-        want = by_list.step(list(ids), x, offset, threshold, keep_events)
+    def both(by_set, by_list, x, offset, threshold):
+        got = by_set.step(wide_db.exploit_set, x, offset, threshold)
+        want = by_list.step(list(ids), x, offset, threshold)
         assert _event_bits(got) == _event_bits(want)
         assert np.array_equal(by_set._cursors, by_list._cursors)
         return got
@@ -465,20 +466,18 @@ def test_exploit_set_steps_as_the_id_list(wide_db):
     def steps(data):
         by_set, by_list = StateTable(wide_db), StateTable(wide_db)
         cursors = dict.fromkeys(ids, 0)
-        keep_events = data.draw(st.booleans())
         for offset in range(data.draw(st.integers(1, 20))):
             _, x, threshold = data.draw(_step_args(wide_db, cursors, st.just(())))
-            both(by_set, by_list, x, offset, threshold, keep_events)
+            both(by_set, by_list, x, offset, threshold)
             cursors = {eid: next_index(by_set, eid) for eid in ids}
 
     steps()
     kinds = set()
     rows = [row for eid in ids for row in wide_db[eid].template_vectors]
-    for keep_events in (False, True):
-        by_set, by_list = StateTable(wide_db), StateTable(wide_db)
-        for offset, row in enumerate(rows):
-            got = both(by_set, by_list, row, offset, DEFAULT_COSINE_THRESHOLD, keep_events)
-            kinds.update(e.kind for e in got)
+    by_set, by_list = StateTable(wide_db), StateTable(wide_db)
+    for offset, row in enumerate(rows):
+        got = both(by_set, by_list, row, offset, DEFAULT_COSINE_THRESHOLD)
+        kinds.update(e.kind for e in got)
     assert kinds == set(EventKind)
 
 
@@ -549,9 +548,3 @@ def test_screen_edges_take_the_exact_path(wide_db, exact_pairs):
     step(wide_db[1].template_vectors[0], 7, some)
     assert len(exact_pairs) == len(some)
 
-
-def test_kept_events_compare_every_pair_exactly(wide_db, exact_pairs):
-    table = StateTable(wide_db)
-    events = table.step(wide_db.exploit_ids, wide_db[5].template_vectors[0], 0, keep_events=True)
-    assert len(events) == len(exact_pairs) == len(wide_db)
-    assert [e.exploit_id for e in events if e.kind is not EventKind.NO_MATCH] == [5]

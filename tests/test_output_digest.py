@@ -8,7 +8,6 @@ import pytest
 
 from chainwatch import mlp
 from chainwatch.engine import AlarmRecord, DetectionResult, SessionSummary
-from chainwatch.monitor import EventKind, MonitorEvent
 
 from .conftest import ROOT
 
@@ -21,50 +20,45 @@ def output_digest():
     return module
 
 
-def _events():
+def _alarms():
     return [
-        MonitorEvent(EventKind.NO_MATCH, 0, "CWE-79", 4, 0.25),
-        MonitorEvent(EventKind.ADVANCED, 1, "CWE-79", 4, 0.95),
-        MonitorEvent(EventKind.ALARM, 2, "CWE-89", 4, 1.0),
+        AlarmRecord("t", 2, 0, "CWE-79", 0.95),
+        AlarmRecord("t", 4, 1, "CWE-79", 1.0),
+        AlarmRecord("t", 4, 2, "CWE-89", 0.9375),
     ]
 
 
-def _result(events):
-    alarms = [
-        AlarmRecord("t", e.trace_offset, e.exploit_id, e.cwe_id, e.similarity)
-        for e in events
-        if e.kind is EventKind.ALARM
-    ]
-    summary = SessionSummary(trace_id="t", total_calls=5, monitor_steps=1, comparisons=len(events))
-    return DetectionResult(alarms=alarms, summary=summary, events=events)
+def _result(alarms):
+    summary = SessionSummary(trace_id="t", total_calls=5, monitor_steps=2, alarms=len(alarms))
+    return DetectionResult(alarms=alarms, summary=summary)
 
 
-def test_accepts_slot_events(output_digest):
-    events = _events()
-    assert not hasattr(events[0], "__dict__")  # slot dataclass
-    assert output_digest._record(events[2]) == (
-        b"MonitorEvent(kind=ALARM,exploit_id=2,cwe_id='CWE-89',trace_offset=4,"
-        b"similarity=0x1.0000000000000p+0)\n"
+def test_record_names_every_field(output_digest):
+    alarms = _alarms()
+    assert output_digest._record(alarms[2]) == (
+        b"AlarmRecord(trace_id='t',offset=4,exploit_id=2,cwe_id='CWE-89',"
+        b"similarity=0x1.e000000000000p-1)\n"
     )
-    alarms, n_events, hexdigest = output_digest.digest([_result(events)])
-    assert (alarms, n_events) == (1, 3)
-    assert output_digest.digest([_result(_events())])[2] == hexdigest
+    n_alarms, hexdigest = output_digest.digest([_result(alarms)])
+    assert n_alarms == 3
+    assert output_digest.digest([_result(_alarms())])[1] == hexdigest
 
 
 def test_one_ulp_changes_digest(output_digest):
-    base = output_digest.digest([_result(_events())])[2]
-    events = _events()
-    moved = np.nextafter(events[1].similarity, 1.0)
-    events[1] = dataclasses.replace(events[1], similarity=float(moved))
-    assert events[1].similarity != 0.95
-    assert output_digest.digest([_result(events)])[2] != base
+    base = output_digest.digest([_result(_alarms())])[1]
+    alarms = _alarms()
+    moved = np.nextafter(alarms[1].similarity, 0.0)
+    alarms[1] = dataclasses.replace(alarms[1], similarity=float(moved))
+    assert alarms[1].similarity != 1.0
+    assert output_digest.digest([_result(alarms)])[1] != base
 
 
 def test_swapping_two_events_changes_digest(output_digest):
-    base = output_digest.digest([_result(_events())])[2]
-    events = _events()
-    events[0], events[1] = events[1], events[0]
-    assert output_digest.digest([_result(events)])[2] != base
+    """Two alarms at one offset, swapped."""
+    base = output_digest.digest([_result(_alarms())])[1]
+    alarms = _alarms()
+    alarms[1], alarms[2] = alarms[2], alarms[1]
+    assert output_digest.digest([_result(alarms)])[1] != base
 
 
 def test_one_ulp_in_a_loss_changes_train_digest(output_digest):
