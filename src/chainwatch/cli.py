@@ -18,6 +18,7 @@ Exit codes: 0 = clean run, 2 = detection run that raised at least one alarm,
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -62,6 +63,17 @@ def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -
     ctx.default_map = config
 
 
+class _FiniteRange(click.FloatRange):
+    """A FloatRange that also refuses NaN and infinity. NaN passes
+    FloatRange's own bounds, since every comparison with it is false."""
+
+    def convert(self, value, param, ctx):
+        rv = super().convert(value, param, ctx)
+        if not math.isfinite(rv):
+            self.fail(f"{rv} is not a finite number.", param, ctx)
+        return rv
+
+
 def _refuse_to_overwrite(out: str, embeddings: str | None, vocab_dir: str | None,
                          inputs: dict[str, str | None]) -> None:
     """Stop before anything is written when ``--out`` is a file the command
@@ -104,11 +116,11 @@ _corpus_opt = click.option("--corpus", envvar="CHAINWATCH_CORPUS", show_envvar=T
                            required=True, help="Corpus directory.")
 _threshold_classify_opt = click.option(
     "--threshold-classify", default=DEFAULT_CLASSIFY_THRESHOLD,
-    type=click.FloatRange(0.0, 1.0, min_open=True, max_open=True),
+    type=_FiniteRange(0.0, 1.0, min_open=True, max_open=True),
     help="Probability needed to nominate a label.")
 _threshold_cosine_opt = click.option(
     "--threshold-cosine", default=DEFAULT_COSINE_THRESHOLD,
-    type=click.FloatRange(0.0, 1.0, min_open=True),
+    type=_FiniteRange(0.0, 1.0, min_open=True),
     help="Similarity needed to advance a chain.")
 _halt_opt = click.option("--halt-on-alarm", is_flag=True,
                          help="Stop at the first alarm instead of scanning the whole trace.")
@@ -162,9 +174,11 @@ def encode(trace, embeddings, vocab_dir, out):
 @_corpus_opt
 @click.option("--out", envvar="CHAINWATCH_MODEL_OUT", show_envvar=True, required=True,
               help="Where to write the trained model.")
-@click.option("--epochs", type=int, default=mlp.TrainConfig.epochs, help="Training epochs.")
-@click.option("--lr", type=float, default=mlp.TrainConfig.learning_rate, help="Learning rate.")
-@click.option("--batch-size", type=int, default=mlp.TrainConfig.batch_size,
+@click.option("--epochs", type=click.IntRange(min=1), default=mlp.TrainConfig.epochs,
+              help="Training epochs.")
+@click.option("--lr", type=_FiniteRange(min=0.0, min_open=True),
+              default=mlp.TrainConfig.learning_rate, help="Learning rate.")
+@click.option("--batch-size", type=click.IntRange(min=1), default=mlp.TrainConfig.batch_size,
               help="Minibatch size.")
 def train(seed, embeddings, vocab_dir, corpus, out, epochs, lr, batch_size):
     """Train the classifier on a corpus directory's train split."""
@@ -258,13 +272,14 @@ def detect_naive(ctx, **opts):
 @click.option("--benign-pool", envvar="CHAINWATCH_BENIGN_POOL", show_envvar=True,
               default=str(DEFAULT_BENIGN_POOL), show_default="bundled",
               help="Benign calls for padding, trace grammar.")
-@click.option("--benign-ratio", type=float, default=1.0,
+@click.option("--benign-ratio", type=_FiniteRange(min=0.0), default=1.0,
               help="Benign-only traces per vulnerable trace.")
-@click.option("--filler-rate", type=float, default=2.0,
+@click.option("--filler-rate", type=_FiniteRange(min=0.0), default=2.0,
               help="Mean benign calls interleaved around each template call.")
-@click.option("--per-sequence", type=int, default=1,
+@click.option("--per-sequence", type=click.IntRange(min=1), default=1,
               help="Padded traces emitted per matched sequence.")
-@click.option("--split", type=float, default=0.85, help="Train fraction.")
+@click.option("--split", type=_FiniteRange(0.0, 1.0, min_open=True, max_open=True),
+              default=0.85, help="Train fraction.")
 def gen_dataset(seed, embeddings, vocab_dir, fingerprints, sdg, out, benign_pool,
                 benign_ratio, filler_rate, per_sequence, split):
     """Mine the graph for each fingerprint's flows and emit a labeled corpus."""
@@ -375,7 +390,7 @@ def eval_cmd(embeddings, vocab_dir, fingerprints, model, corpus, split_name, pre
 @_model_opt()
 @_corpus_opt
 @_split_name_opt
-@click.option("--repetitions", type=int, default=3, help="Measured passes.")
+@click.option("--repetitions", type=click.IntRange(min=1), default=3, help="Measured passes.")
 @click.option("--max-traces", type=click.IntRange(min=1),
               help="Cap the number of traces benchmarked.")
 @click.option("--json-out", help="Also write the full report as JSON.")

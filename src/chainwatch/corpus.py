@@ -41,7 +41,7 @@ class PaddingConfig:
     per_sequence: int = 1
 
     def __post_init__(self):
-        if self.filler_rate < 0:
+        if not self.filler_rate >= 0:
             raise CorpusError("filler_rate must be >= 0")
         if self.per_sequence < 1:
             raise CorpusError("per_sequence must be >= 1")
@@ -137,7 +137,7 @@ def generate_corpus(
     """Build and write a full corpus directory; returns the manifest dict."""
     if not 0.0 < split < 1.0:
         raise CorpusError(f"split must lie in (0, 1), got {split}")
-    if benign_ratio < 0:
+    if not benign_ratio >= 0:
         raise CorpusError("benign_ratio must be >= 0")
     padding = padding if padding is not None else PaddingConfig(filler_rate=0.0)
     rng = np.random.default_rng(seed)

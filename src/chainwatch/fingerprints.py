@@ -37,14 +37,6 @@ class FingerprintError(ValueError):
     """Fingerprint file is malformed."""
 
 
-class DuplicateExploitId(FingerprintError):
-    pass
-
-
-class EmptyFingerprint(FingerprintError):
-    pass
-
-
 @dataclass(frozen=True, eq=False)
 class Fingerprint:
     """One exploit's ordered templates and their encoded rows, read only.
@@ -62,7 +54,7 @@ class Fingerprint:
 
     def __post_init__(self):
         if len(self.templates) == 0:
-            raise EmptyFingerprint(f"exploit {self.exploit_id}: no templates")
+            raise FingerprintError(f"exploit {self.exploit_id}: no templates")
         if len(self.roles) != len(self.templates):
             raise FingerprintError(f"exploit {self.exploit_id}: role/template length mismatch")
         if self.template_vectors.shape != (len(self.templates), VECTOR_DIM):
@@ -172,7 +164,7 @@ def load_fingerprints(path: str | Path, encoder: FeatureEncoder) -> FingerprintD
         if block is None:
             return
         if not block["templates"]:
-            raise EmptyFingerprint(
+            raise FingerprintError(
                 f"{path}: exploit {block['exploit_id']} has no templates"
             )
         fp = Fingerprint(
@@ -190,7 +182,7 @@ def load_fingerprints(path: str | Path, encoder: FeatureEncoder) -> FingerprintD
             finish(current)
             exploit_id, cwe_id, label = _parse_header(obj, where)
             if exploit_id in fingerprints:
-                raise DuplicateExploitId(f"{where}: duplicate exploit id {exploit_id}")
+                raise FingerprintError(f"{where}: duplicate exploit id {exploit_id}")
             current = {
                 "exploit_id": exploit_id,
                 "cwe_id": cwe_id,

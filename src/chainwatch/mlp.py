@@ -32,11 +32,7 @@ _LOSS_CLAMP = 1e-7
 
 
 class ModelFormatError(ValueError):
-    """Model file is truncated, has a bad header, or corrupt payload."""
-
-
-class ArchitectureMismatch(ModelFormatError):
-    """Model file declares layer sizes other than 151/150/100/79."""
+    """Model file is truncated, has a bad header or layer sizes, or corrupt payload."""
 
 
 @dataclass(eq=False)
@@ -254,7 +250,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
@@ -415,7 +411,7 @@ def load_model(path: str | Path) -> MlpModel:
     if version != _FORMAT_VERSION:
         raise ModelFormatError(f"{path}: unsupported format version {version}")
     if (d0, d1, d2, d3) != LAYER_SIZES:
-        raise ArchitectureMismatch(
+        raise ModelFormatError(
             f"{path}: layer sizes {(d0, d1, d2, d3)} do not match {LAYER_SIZES}"
         )
     if (act_hidden, act_out) != (_ACT_RELU, _ACT_LOGISTIC):

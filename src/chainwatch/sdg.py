@@ -43,19 +43,8 @@ _ENDPOINT_RULES = {
 
 
 class SdgError(ValueError):
-    """Graph file is malformed or violates a structural rule."""
-
-
-class DanglingEdge(SdgError):
-    pass
-
-
-class IllegalEdgeLabel(SdgError):
-    pass
-
-
-class MissingRoleAnnotation(SdgError):
-    """Fingerprint lacks the source/sink roles needed to form a query."""
+    """Graph file is malformed or violates a structural rule, or a fingerprint
+    lacks the source and sink roles a query needs."""
 
 
 @dataclass(frozen=True)
@@ -117,7 +106,7 @@ def load_sdg(path: str | Path, vocabs: Vocabularies) -> Sdg:
                 raise SdgError(f"{where}: edge must be a [src, dst] integer pair")
             label = obj.get("label")
             if label not in EDGE_LABELS:
-                raise IllegalEdgeLabel(f"{where}: unknown edge label {label!r}")
+                raise SdgError(f"{where}: unknown edge label {label!r}")
             unknown = set(obj) - {"edge", "label"}
             if unknown:
                 raise SdgError(f"{where}: unexpected edge key(s): {sorted(unknown)}")
@@ -128,13 +117,13 @@ def load_sdg(path: str | Path, vocabs: Vocabularies) -> Sdg:
     edges = []
     for src, dst, label, where in raw_edges:
         if src not in nodes or dst not in nodes:
-            raise DanglingEdge(f"{where}: edge ({src}, {dst}) references an unknown node")
+            raise SdgError(f"{where}: edge ({src}, {dst}) references an unknown node")
         rule = _ENDPOINT_RULES.get(label)
         if rule is not None:
             want_src, want_dst = rule
             got = (nodes[src].kind, nodes[dst].kind)
             if got != (want_src, want_dst):
-                raise IllegalEdgeLabel(
+                raise SdgError(
                     f"{where}: {label} edge must run {want_src} -> {want_dst}, got {got[0]} -> {got[1]}"
                 )
         edges.append((src, dst, label))
@@ -155,7 +144,7 @@ def lower_fingerprint(fp: Fingerprint) -> VulnQuery:
     sources = tuple(t for t, r in zip(fp.templates, fp.roles) if r == "source")
     sinks = tuple(t for t, r in zip(fp.templates, fp.roles) if r == "sink")
     if not sources or not sinks:
-        raise MissingRoleAnnotation(
+        raise SdgError(
             f"exploit {fp.exploit_id}: need at least one source and one sink role"
         )
     return VulnQuery(exploit_id=fp.exploit_id, sources=sources, sinks=sinks)

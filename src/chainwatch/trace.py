@@ -19,36 +19,8 @@ RECORD_FIELDS = ("api_name", "category", "scope", "package", "inputs", "outputs"
 
 
 class TraceError(ValueError):
-    """Base class for trace parsing failures."""
-
-    line: int | None = None
-
-
-class MalformedRecord(TraceError):
-    """Record is not a JSON object with the expected fields and types."""
-
-
-class UnknownCategory(TraceError):
-    pass
-
-
-class UnknownScope(TraceError):
-    pass
-
-
-class UnknownPackage(TraceError):
-    pass
-
-
-class UnknownIoType(TraceError):
-    pass
-
-
-def _unknown(exc_cls, fieldname: str, value: str) -> TraceError:
-    exc = exc_cls(f"unknown {fieldname}: {value!r}")
-    exc.field = fieldname
-    exc.value = value
-    return exc
+    """A trace record is malformed or names a value outside the vocabularies;
+    ``read_trace`` prefixes the message with ``<source> line <n>:``."""
 
 
 @dataclass(frozen=True)
@@ -88,14 +60,14 @@ class Trace:
 def _require_str(obj: dict, key: str) -> str:
     value = obj[key]
     if not isinstance(value, str):
-        raise MalformedRecord(f"field {key!r} must be a string, got {type(value).__name__}")
+        raise TraceError(f"field {key!r} must be a string, got {type(value).__name__}")
     return value
 
 
 def _require_str_list(obj: dict, key: str) -> list[str]:
     value = obj[key]
     if not isinstance(value, list) or any(not isinstance(v, str) for v in value):
-        raise MalformedRecord(f"field {key!r} must be an array of strings")
+        raise TraceError(f"field {key!r} must be an array of strings")
     return value
 
 
@@ -104,7 +76,7 @@ def parse_trace_record(line: str, vocabs: Vocabularies) -> InstructionCall:
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise MalformedRecord(f"invalid JSON: {exc}") from exc
+        raise TraceError(f"invalid JSON: {exc}") from exc
     return call_from_record(obj, vocabs)
 
 
@@ -115,17 +87,17 @@ def call_from_record(obj: object, vocabs: Vocabularies) -> InstructionCall:
     and graph loaders, which carry records inside their own lines.
     """
     if not isinstance(obj, dict):
-        raise MalformedRecord("record must be a JSON object")
+        raise TraceError("record must be a JSON object")
     missing = [k for k in RECORD_FIELDS if k not in obj]
     if missing:
-        raise MalformedRecord(f"missing field(s): {', '.join(missing)}")
+        raise TraceError(f"missing field(s): {', '.join(missing)}")
     extra = [k for k in obj if k not in RECORD_FIELDS]
     if extra:
-        raise MalformedRecord(f"unexpected field(s): {', '.join(sorted(extra))}")
+        raise TraceError(f"unexpected field(s): {', '.join(sorted(extra))}")
 
     api_name = _require_str(obj, "api_name")
     if WHITESPACE.search(api_name):
-        raise MalformedRecord(f"api_name contains whitespace: {api_name!r}")
+        raise TraceError(f"api_name contains whitespace: {api_name!r}")
     category = _require_str(obj, "category")
     scope = _require_str(obj, "scope")
     package = _require_str(obj, "package")
@@ -133,14 +105,14 @@ def call_from_record(obj: object, vocabs: Vocabularies) -> InstructionCall:
     outputs = _require_str_list(obj, "outputs")
 
     if category not in CATEGORY_INDEX:
-        raise _unknown(UnknownCategory, "category", category)
+        raise TraceError(f"unknown category: {category!r}")
     if scope not in SCOPE_INDEX:
-        raise _unknown(UnknownScope, "scope", scope)
+        raise TraceError(f"unknown scope: {scope!r}")
     if package not in vocabs.package_index:
-        raise _unknown(UnknownPackage, "package", package)
+        raise TraceError(f"unknown package: {package!r}")
     for io_type in (*inputs, *outputs):
         if io_type not in vocabs.io_type_index:
-            raise _unknown(UnknownIoType, "io-type", io_type)
+            raise TraceError(f"unknown io-type: {io_type!r}")
 
     return InstructionCall(
         api_name=api_name,
@@ -192,7 +164,6 @@ def read_trace(
             try:
                 call = parse_trace_record(line, vocabs)
             except TraceError as exc:
-                exc.line = lineno
                 exc.args = (f"{source_id} line {lineno}: {exc.args[0]}",)
                 raise
             if memo is not None:

@@ -24,6 +24,7 @@ import numpy as np
 from chainwatch.encoder import FeatureEncoder
 from chainwatch.fingerprints import Fingerprint, FingerprintDb
 from chainwatch.mlp import N_LABELS
+from chainwatch.sdg import EDGE_LABELS, Sdg, SdgNode
 from chainwatch.trace import InstructionCall, serialize_trace_record
 from chainwatch.vocab import CATEGORIES, Vocabularies
 
@@ -389,3 +390,30 @@ def mixed_trace(
             else:
                 slots[i] = templates[int(rng.integers(len(templates)))]
     return slots  # type: ignore[return-value]
+
+
+def _call(name, category="invokevirtual", package="Ljava/lang/String"):
+    return InstructionCall(name, category, "Application", package)
+
+
+def _mk_sdg(nodes, edges):
+    return Sdg(nodes={n.node_id: n for n in nodes}, edges=edges)
+
+
+def _random_graph(rng, pool):
+    n = int(rng.integers(5, 12))
+    kinds = ["statement"] * (n // 2) + [
+        ("entry", "actual_in", "formal_in", "formal_out", "actual_out")[int(rng.integers(5))]
+        for _ in range(n - n // 2)
+    ]
+    rng.shuffle(kinds)
+    nodes = []
+    for i, kind in enumerate(kinds, start=1):
+        call = pool[int(rng.integers(len(pool)))] if kind == "statement" else None
+        nodes.append(SdgNode(i, kind, call))
+    edges = []
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            if a != b and rng.random() < 0.25:
+                edges.append((a, b, EDGE_LABELS[int(rng.integers(len(EDGE_LABELS)))]))
+    return _mk_sdg(nodes, edges)

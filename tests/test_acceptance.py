@@ -40,8 +40,7 @@ from chainwatch.vocab import CATEGORIES
 
 from .conftest import ACCEPTANCE_LINES, FIXTURES
 from .oracles import NaiveChainMatcher, brute_force_flows, grad_check, scalar_metrics
-from .synthgen import make_world, mixed_trace
-from .test_sdg import _call, _random_graph
+from .synthgen import _call, _random_graph, make_world, mixed_trace
 
 
 def _record(num: int, title: str, ok: bool, detail: str) -> None:

@@ -10,6 +10,7 @@ import io
 import json
 import re
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -456,6 +457,119 @@ def test_corrupt_manifest_exit_1_names_it(tmp_path, capsys):
     assert error.startswith(f"Error: {tmp_path / 'corpus.json'}: Expecting property name")
 
 
+def _fixture_lines(name: str) -> list[str]:
+    return (FIXTURES / name).read_text().splitlines()
+
+
+def _write(path, lines) -> str:
+    path.write_text("".join(line + "\n" for line in lines))
+    return str(path)
+
+
+def _bad_trace(tmp_path, **change):
+    record = json.loads(_fixture_lines("benign_pool.jsonl")[0])
+    trace = _write(tmp_path / "t.jsonl", [json.dumps({**record, **change})])
+    return ["encode", trace], trace
+
+
+def _bad_fingerprints(tmp_path, *exploit_ids):
+    """A fingerprint file with a header line for each id and a template line for each None."""
+    header, template = _fixture_lines("sqlinj.fp")[:2]
+    lines = []
+    for exploit_id in exploit_ids:
+        if exploit_id is None:
+            lines.append(template)
+        else:
+            lines.append(json.dumps({**json.loads(header), "exploit_id": exploit_id}))
+    fp = _write(tmp_path / "f.fp", lines)
+    return ["detect-naive", str(FIXTURES / "benign_pool.jsonl"), "--fingerprints", fp], fp
+
+
+def _gen_dataset(tmp_path, fp, sdg):
+    return ["gen-dataset", "--fingerprints", str(fp), "--sdg", str(sdg),
+            "--out", str(tmp_path / "corpus")]
+
+
+def _bad_graph(tmp_path, *lines):
+    sdg = _write(tmp_path / "g.sdg", lines)
+    return _gen_dataset(tmp_path, FIXTURES / "sqlinj.fp", sdg), sdg
+
+
+def _bad_model(tmp_path, raw: bytes):
+    model = tmp_path / "m.cwmlp"
+    model.write_bytes(raw)
+    return ["detect", str(FIXTURES / "benign_pool.jsonl"), "--fingerprints",
+            str(FIXTURES / "sqlinj.fp"), "--model", str(model)], str(model)
+
+
+def _model_header(*sizes) -> bytes:
+    return b"CWMLP\x00" + struct.pack("<H4I2BQ", 1, *sizes, 1, 2, 0)
+
+
+def _no_roles(tmp_path):
+    lines = [json.dumps({k: v for k, v in json.loads(line).items() if k != "role"})
+             for line in _fixture_lines("sqlinj.fp")]
+    fp = _write(tmp_path / "f.fp", lines)
+    return _gen_dataset(tmp_path, fp, FIXTURES / "sqlinj.sdg"), fp
+
+
+def _bad_embeddings(tmp_path):
+    table = _write(tmp_path / "e.txt", ["tok 1 2 3 4 5 6 7 8 9 x"])
+    return ["encode", str(FIXTURES / "benign_pool.jsonl"), "--embeddings", table], table
+
+
+def _short_package_vocabulary(tmp_path):
+    vocab = tmp_path / "vocab"
+    shutil.copytree(default_vocab_dir(), vocab)
+    packages = vocab / "packages.txt"
+    _write(packages, packages.read_text().split()[:21])
+    return ["encode", str(FIXTURES / "benign_pool.jsonl"), "--vocab-dir", str(vocab)], packages
+
+
+# case -> (tmp_path -> (argv, the faulty file), the error line for that file)
+_INPUT_FAULTS = {
+    "trace-unknown-package": (
+        lambda d: _bad_trace(d, package="Lnope/Nope"),
+        "Error: {path} line 1: unknown package: 'Lnope/Nope'"),
+    "trace-unexpected-field": (
+        lambda d: _bad_trace(d, extra=1), "Error: {path} line 1: unexpected field(s): extra"),
+    "fingerprint-duplicate-id": (
+        lambda d: _bad_fingerprints(d, 0, None, 0),
+        "Error: {path} line 3: duplicate exploit id 0"),
+    "fingerprint-no-templates": (
+        lambda d: _bad_fingerprints(d, 0, 1, None), "Error: {path}: exploit 0 has no templates"),
+    "graph-dangling-edge": (
+        lambda d: _bad_graph(d, '{"node": 1, "kind": "entry"}',
+                             '{"edge": [1, 9], "label": "data"}'),
+        "Error: {path} line 2: edge (1, 9) references an unknown node"),
+    "graph-call-endpoints": (
+        lambda d: _bad_graph(d, '{"node": 1, "kind": "entry"}', '{"node": 2, "kind": "entry"}',
+                             '{"edge": [1, 2], "label": "call"}'),
+        "Error: {path} line 3: call edge must run statement -> entry, got entry -> entry"),
+    "fingerprint-without-roles": (
+        _no_roles, "Error: exploit 0: need at least one source and one sink role"),
+    "model-layer-size": (
+        lambda d: _bad_model(d, _model_header(152, 150, 100, 79)),
+        "Error: {path}: layer sizes (152, 150, 100, 79) do not match (151, 150, 100, 79)"),
+    "model-bad-magic": (
+        lambda d: _bad_model(d, b"nope"), "Error: {path}: not a model file (bad magic)"),
+    "embedding-bad-float": (
+        _bad_embeddings,
+        "Error: {path} line 1: bad float: could not convert string to float: 'x'"),
+    "package-vocabulary-21": (
+        _short_package_vocabulary, "Error: package vocabulary must have 22 entries, got 21"),
+}
+
+
+@pytest.mark.parametrize("case", _INPUT_FAULTS)
+def test_input_fault_error_line(case, tmp_path, capsys):
+    """One fault of each input format: exit 1 and exactly this one ``Error:`` line."""
+    build, error = _INPUT_FAULTS[case]
+    argv, path = build(tmp_path)
+    assert main(argv) == 1
+    assert _one_error_line(capsys.readouterr().err) == error.format(path=path)
+
+
 class TestNotUtf8:
     """A file that is not valid UTF-8 fails with one error line that names it
     and the line of the first bad byte, and exits 1."""
@@ -680,16 +794,64 @@ class TestBench:
         assert tail["latency_ratio"] is None
         assert "comparison ratio (naive/engine): n/a   latency ratio: n/a" in out
 
-    @pytest.mark.parametrize("value", ("0", "-1"))
-    def test_max_traces_below_one_names_the_flag(self, value, tmp_path, capsys):
-        """0 used to bench every trace and -1 all but the last; both are refused
-        as usage before any file is read."""
-        missing = str(tmp_path / "missing")
-        rc = main(["bench", "--corpus", missing, "--fingerprints", missing,
-                   "--model", missing, "--max-traces", value])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "--max-traces" in err and "missing" not in err
+
+def _without_inputs(flag, tmp_path):
+    """The command that takes ``flag`` with its other required options, every
+    input a file that does not exist and any output under ``tmp_path / "out"``."""
+    missing, out = str(tmp_path / "missing"), str(tmp_path / "out")
+    command = {
+        "--threshold-classify": "eval", "--threshold-cosine": "detect",
+        "--lr": "train", "--epochs": "train", "--batch-size": "train",
+        "--split": "gen-dataset", "--benign-ratio": "gen-dataset",
+        "--filler-rate": "gen-dataset", "--per-sequence": "gen-dataset",
+        "--repetitions": "bench", "--max-traces": "bench",
+    }[flag]
+    return [command, *{
+        "eval": ["--corpus", missing, "--model", missing],
+        "detect": [missing, "--fingerprints", missing, "--model", missing, "--out", out],
+        "train": ["--corpus", missing, "--out", out],
+        "gen-dataset": ["--fingerprints", missing, "--sdg", missing, "--out", out],
+        "bench": ["--corpus", missing, "--fingerprints", missing, "--model", missing,
+                  "--json-out", out],
+    }[command]]
+
+
+def _assert_refused_as_usage(rc, flag, tmp_path, capsys):
+    """Exit 1 with an error naming ``flag``, before any input is read or output written."""
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert flag in err and "missing" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", ("--max-traces", "--repetitions", "--epochs", "--batch-size",
+                                  "--per-sequence"))
+@pytest.mark.parametrize("value", ("0", "-1"))
+def test_count_below_one_names_the_flag(flag, value, tmp_path, capsys):
+    """Unchecked, --max-traces 0 would bench every trace and -1 all but the
+    last, and the other flags would fail only after loading their inputs,
+    without naming the flag."""
+    rc = main([*_without_inputs(flag, tmp_path), flag, value])
+    _assert_refused_as_usage(rc, flag, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("via", ("flag", "config"))
+@pytest.mark.parametrize("flag, value", [
+    *((flag, "nan") for flag in ("--threshold-classify", "--threshold-cosine", "--lr",
+                                 "--split", "--benign-ratio", "--filler-rate")),
+    ("--lr", "inf"),
+])
+def test_non_finite_float_names_the_flag(flag, value, via, tmp_path, capsys):
+    """NaN passes every range check that compares, and --lr inf trains a model
+    that no loader accepts. JSON configs may hold NaN and Infinity."""
+    args = _without_inputs(flag, tmp_path)
+    if via == "flag":
+        args += [flag, value]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({flag[2:].replace("-", "_"): float(value)}))
+        args += ["--config", str(config)]
+    _assert_refused_as_usage(main(args), flag, tmp_path, capsys)
 
 
 def test_usage_error_exit_1(capsys):

@@ -1,5 +1,6 @@
 import filecmp
 import json
+import math
 import shutil
 
 import numpy as np
@@ -267,7 +268,6 @@ def test_bad_record_after_repeated_lines_fails_as_without_the_memo(
         read_trace(fh, vocabs, source_id="train/trace_00001")
     assert str(got.value).startswith(f"train/trace_00001 line {lineno}: ")
     assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
-    assert got.value.line == lineno
 
 
 @pytest.mark.parametrize("bad_line", ["79", "x", "1, ,2"])
@@ -281,6 +281,14 @@ def test_bad_label_line_after_repeated_lines_fails_as_without_the_memo(
         read_labels(path)
     assert str(got.value) == str(want.value)
     assert f"trace_00001.labels line {lineno}: {bad_line.strip()!r}" in str(got.value)
+
+
+def test_nan_rates_refused(tmp_path, small_world, encoder):
+    with pytest.raises(CorpusError, match="filler_rate"):
+        PaddingConfig(filler_rate=math.nan)
+    sequences = {0: [tuple(small_world.chains[0])]}
+    with pytest.raises(CorpusError, match="benign_ratio"):
+        generate_corpus(small_world.db(encoder), sequences, tmp_path, benign_ratio=math.nan)
 
 
 def test_generate_corpus_validation(tmp_path, small_world, encoder):

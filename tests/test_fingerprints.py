@@ -6,8 +6,6 @@ import pytest
 
 from chainwatch.encoder import FeatureEncoder
 from chainwatch.fingerprints import (
-    DuplicateExploitId,
-    EmptyFingerprint,
     FingerprintDb,
     FingerprintError,
     WhiteList,
@@ -53,17 +51,17 @@ def test_cwe_index(sql_db):
 def test_duplicate_exploit_id(tmp_path, encoder):
     p = tmp_path / "f.fp"
     p.write_text(f"{HEADER % 1}\n{TEMPLATE}\n{HEADER % 1}\n{TEMPLATE}\n")
-    with pytest.raises(DuplicateExploitId, match="line 3"):
+    with pytest.raises(FingerprintError, match="line 3: duplicate exploit id 1"):
         load_fingerprints(p, encoder)
 
 
 def test_empty_fingerprint_rejected(tmp_path, encoder):
     p = tmp_path / "f.fp"
     p.write_text(f"{HEADER % 1}\n{HEADER % 2}\n{TEMPLATE}\n")
-    with pytest.raises(EmptyFingerprint):
+    with pytest.raises(FingerprintError, match="exploit 1 has no templates"):
         load_fingerprints(p, encoder)
     p.write_text(f"{HEADER % 1}\n")  # trailing empty block
-    with pytest.raises(EmptyFingerprint):
+    with pytest.raises(FingerprintError, match="exploit 1 has no templates"):
         load_fingerprints(p, encoder)
 
 

@@ -20,7 +20,6 @@ from chainwatch.mlp import (
     LAYER_SIZES,
     N_LABELS,
     PARAM_COUNT,
-    ArchitectureMismatch,
     MlpModel,
     ModelFormatError,
     TrainConfig,
@@ -539,6 +538,13 @@ def test_train_input_validation():
         TrainConfig(epochs=0)
 
 
+@pytest.mark.parametrize("rate", (math.nan, math.inf))
+def test_train_config_refuses_a_non_finite_learning_rate(rate):
+    """Either would train a model whose weights no loader accepts."""
+    with pytest.raises(ValueError, match="learning_rate"):
+        TrainConfig(learning_rate=rate)
+
+
 class TestModelFile:
     def test_round_trip(self, tmp_path):
         m = init_model(seed=99)
@@ -582,7 +588,7 @@ class TestModelFile:
         raw = bytearray(p.read_bytes())
         raw[8:12] = (152).to_bytes(4, "little")
         p.write_bytes(bytes(raw))
-        with pytest.raises(ArchitectureMismatch):
+        with pytest.raises(ModelFormatError, match="layer sizes"):
             load_model(p)
 
     def test_nan_payload_rejected(self, tmp_path):

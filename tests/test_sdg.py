@@ -12,12 +12,7 @@ import pytest
 
 from chainwatch.fingerprints import FingerprintDb
 from chainwatch.sdg import (
-    EDGE_LABELS,
     FLOW_LABELS,
-    DanglingEdge,
-    IllegalEdgeLabel,
-    MissingRoleAnnotation,
-    Sdg,
     SdgError,
     SdgNode,
     VulnQuery,
@@ -31,10 +26,7 @@ from chainwatch.trace import InstructionCall
 
 from .conftest import FIXTURES
 from .oracles import brute_force_flows
-
-
-def _call(name, category="invokevirtual", package="Ljava/lang/String"):
-    return InstructionCall(name, category, "Application", package)
+from .synthgen import _call, _mk_sdg, _random_graph
 
 
 def _node_line(nid, kind, call=None):
@@ -79,7 +71,7 @@ class TestLoading:
     def test_dangling_edge(self, tmp_path, vocabs):
         p = tmp_path / "g.sdg"
         p.write_text(_node_line(1, "entry") + "\n" + _edge_line(1, 9, "data") + "\n")
-        with pytest.raises(DanglingEdge):
+        with pytest.raises(SdgError, match=r"edge \(1, 9\) references an unknown node"):
             load_sdg(p, vocabs)
 
     def test_unknown_label(self, tmp_path, vocabs):
@@ -88,7 +80,7 @@ class TestLoading:
             _node_line(1, "entry") + "\n" + _node_line(2, "entry") + "\n"
             + _edge_line(1, 2, "teleport") + "\n"
         )
-        with pytest.raises(IllegalEdgeLabel, match="unknown edge label"):
+        with pytest.raises(SdgError, match="unknown edge label"):
             load_sdg(p, vocabs)
 
     @pytest.mark.parametrize(
@@ -105,7 +97,7 @@ class TestLoading:
             _node_line(1, src_kind) + "\n" + _node_line(2, dst_kind) + "\n"
             + _edge_line(1, 2, label) + "\n"
         )
-        with pytest.raises(IllegalEdgeLabel, match="must run"):
+        with pytest.raises(SdgError, match="must run"):
             load_sdg(p, vocabs)
 
     def test_legal_endpoint_combinations(self, tmp_path, vocabs):
@@ -178,7 +170,7 @@ def test_lower_fingerprint_requires_roles(sql_db):
     )
     unroled_db = FingerprintDb(fingerprints={fp.exploit_id: unroled})
     assert list(unroled_db.template_norms) == list(sql_db.template_norms)
-    with pytest.raises(MissingRoleAnnotation):
+    with pytest.raises(SdgError, match="need at least one source and one sink role"):
         lower_fingerprint(unroled)
 
 
@@ -208,10 +200,6 @@ def test_control_edges_do_not_carry_flow(vocabs, sql_db):
         q.write_text(pruned + "\n")
         sdg = load_sdg(q, vocabs)
     assert match_query(sdg, lower_fingerprint(sql_db[0])) == []
-
-
-def _mk_sdg(nodes, edges):
-    return Sdg(nodes={n.node_id: n for n in nodes}, edges=edges)
 
 
 def test_min_statement_path_preferred():
@@ -258,25 +246,6 @@ def test_no_match_when_unreachable():
     nodes = [SdgNode(1, "statement", src), SdgNode(2, "statement", snk)]
     sdg = _mk_sdg(nodes, [(2, 1, "data")])  # reversed edge only
     assert match_query(sdg, VulnQuery(0, sources=(src,), sinks=(snk,))) == []
-
-
-def _random_graph(rng, pool):
-    n = int(rng.integers(5, 12))
-    kinds = ["statement"] * (n // 2) + [
-        ("entry", "actual_in", "formal_in", "formal_out", "actual_out")[int(rng.integers(5))]
-        for _ in range(n - n // 2)
-    ]
-    rng.shuffle(kinds)
-    nodes = []
-    for i, kind in enumerate(kinds, start=1):
-        call = pool[int(rng.integers(len(pool)))] if kind == "statement" else None
-        nodes.append(SdgNode(i, kind, call))
-    edges = []
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            if a != b and rng.random() < 0.25:
-                edges.append((a, b, EDGE_LABELS[int(rng.integers(len(EDGE_LABELS)))]))
-    return _mk_sdg(nodes, edges)
 
 
 def test_matches_brute_force_oracle():
