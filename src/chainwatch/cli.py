@@ -274,7 +274,7 @@ def detect_naive(ctx, **opts):
               help="Benign calls for padding, trace grammar.")
 @click.option("--benign-ratio", type=_FiniteRange(min=0.0), default=1.0,
               help="Benign-only traces per vulnerable trace.")
-@click.option("--filler-rate", type=_FiniteRange(min=0.0), default=2.0,
+@click.option("--filler-rate", type=_FiniteRange(0.0, corpus_mod.MAX_FILLER_RATE), default=2.0,
               help="Mean benign calls interleaved around each template call.")
 @click.option("--per-sequence", type=click.IntRange(min=1), default=1,
               help="Padded traces emitted per matched sequence.")
@@ -290,7 +290,10 @@ def gen_dataset(seed, embeddings, vocab_dir, fingerprints, sdg, out, benign_pool
         pool = tuple(read_trace(fh, encoder.vocabs, source_id=benign_pool).calls)
     sequences = {}
     for eid in db.exploit_ids:
-        query = sdg_mod.lower_fingerprint(db[eid])
+        try:
+            query = sdg_mod.lower_fingerprint(db[eid])
+        except sdg_mod.SdgError as exc:
+            raise sdg_mod.SdgError(f"{fingerprints}: {exc}") from None
         matched = sdg_mod.match_query(graph, query)
         if matched:
             sequences[eid] = matched

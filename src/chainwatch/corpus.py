@@ -26,6 +26,10 @@ from .vocab import Vocabularies, open_text
 MANIFEST_NAME = "corpus.json"
 MANIFEST_VERSION = 1
 _LABEL_IDS = frozenset(range(N_LABELS))
+# The largest filler rate, in mean benign calls per gap: NumPy's Poisson draw
+# fails far above it, and a trace of thousands of filler calls per template is
+# not a use of the corpus.
+MAX_FILLER_RATE = 1000.0
 
 
 class CorpusError(ValueError):
@@ -41,8 +45,8 @@ class PaddingConfig:
     per_sequence: int = 1
 
     def __post_init__(self):
-        if not self.filler_rate >= 0:
-            raise CorpusError("filler_rate must be >= 0")
+        if not 0 <= self.filler_rate <= MAX_FILLER_RATE:
+            raise CorpusError(f"filler_rate must lie in [0, {MAX_FILLER_RATE}]")
         if self.per_sequence < 1:
             raise CorpusError("per_sequence must be >= 1")
         if self.filler_rate > 0 and not self.benign_pool:

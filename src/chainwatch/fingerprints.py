@@ -79,6 +79,9 @@ class FingerprintDb:
       only, with ``template_norms`` each row's ``sqrt(row @ row)``, and
       ``start_rows`` and ``last_rows`` the rows of each exploit's first and
       last template;
+    * ``start_matrix`` and ``start_norms``, the rows and norms at
+      ``start_rows`` (each exploit's first template, in position order), the
+      matrix a contiguous copy;
     * ``exploit_set``, the ids as one frozenset, the candidate set meaning
       "every exploit";
     * ``template_norm_span``, the smallest and largest nonzero template norm
@@ -92,6 +95,8 @@ class FingerprintDb:
     template_norms: np.ndarray = field(init=False, repr=False, compare=False)
     start_rows: np.ndarray = field(init=False, repr=False, compare=False)
     last_rows: np.ndarray = field(init=False, repr=False, compare=False)
+    start_matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    start_norms: np.ndarray = field(init=False, repr=False, compare=False)
     exploit_set: frozenset[int] = field(init=False, repr=False, compare=False)
     template_norm_span: tuple[float, float] = field(init=False, repr=False, compare=False)
 
@@ -108,9 +113,10 @@ class FingerprintDb:
         norms = np.array([np.sqrt(r @ r) for r in matrix], dtype=np.float64)
         ends = np.cumsum(lengths, dtype=np.intp)
         starts, lasts = ends - lengths, ends - 1
+        start_matrix, start_norms = np.ascontiguousarray(matrix[starts]), norms[starts]
         nonzero = norms[norms != 0.0]
         span = (float(nonzero.min()), float(nonzero.max())) if nonzero.size else (math.inf, 0.0)
-        for arr in (matrix, norms, starts, lasts):
+        for arr in (matrix, norms, starts, lasts, start_matrix, start_norms):
             arr.setflags(write=False)
         derived = {
             "fingerprints": MappingProxyType(dict(self.fingerprints)),
@@ -120,6 +126,8 @@ class FingerprintDb:
             "template_norms": norms,
             "start_rows": starts,
             "last_rows": lasts,
+            "start_matrix": start_matrix,
+            "start_norms": start_norms,
             "exploit_set": frozenset(ids),
             "template_norm_span": span,
         }

@@ -17,6 +17,7 @@ event, and the engine's ``SessionSummary`` counts comparisons, steps and alarms.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -60,13 +61,21 @@ SCREEN_SLACK = 1e-9
 # bound of the screen a normal number (at most 2**400 and, but for absolute
 # errors below 2**-1066, at least 2**-400), so the rounding bounds hold.
 SCREEN_NORMS = (2.0**-200, 2.0**200)
-# Candidate sets this large are screened.  Measured on the cwe79 database (327
-# rows) over 150 traces of its test split, on a shared 2-core x86-64 host: an
-# exact step cost about 7 us plus 2.6 us per candidate (26-29 us at 8, 38-42 us
-# at 12), a screened one 28-34 us whatever its size, so they break even at 9 to
-# 10 candidates.  Classifier steps on that split have at most 4 candidates
-# (1.17 on average) and never screen; naive steps have 79.
-SCREEN_MIN_CANDIDATES = 12
+# Candidate sets this large are screened.  Measured on the cwe79 database (79
+# first-template rows) over 150 traces of its test split, a fresh table per
+# trace, random candidate sets, on a shared 2-core x86-64 host: an exact step
+# cost about 2.2 us plus 1.4 us per candidate (7.5-8.1 us at 4, 9.0-10.0 us at
+# 5), a screened one 7.7-8.0 us at one candidate and 8.6-9.7 us at 5, so they
+# break even between 4 and 5 candidates.  Classifier steps on that split have
+# at most 4 candidates (1.17 on average) and never screen; naive steps have 79.
+SCREEN_MIN_CANDIDATES = 5
+# With this many exploits part-way through their chains, a screen takes one
+# product over every template row rather than over the first templates only.
+# Measured as above with k exploits set part-way before each naive step: the
+# first-template screen cost 7.5-8.1 us plus 1.1-1.5 us per part-way exploit
+# (11.6-12.0 us at 3, 13.3-13.9 at 4), the every-row one 12.5-13.6 us at any
+# k, so they break even between 3 and 4.
+SCREEN_EVERY_ROW_PARTWAY = 4
 
 
 class StateTable:
@@ -109,18 +118,27 @@ class StateTable:
         equal bit for bit to ``cosine(x, row)`` in ``tests/oracles.py``,
         which its ``reference_step`` checks.  A set of at least
         ``SCREEN_MIN_CANDIDATES`` candidates is screened first by one product
-        ``D = M @ x`` over every template row: a pair is dropped, as not
-        matched, when
+        ``D = F @ x``.  While fewer than ``SCREEN_EVERY_ROW_PARTWAY`` exploits
+        are part-way through their chains, ``F = db.start_matrix``, each
+        exploit's first template row, and only an exploit waiting on its first
+        template can be dropped; with that many or more,
+        ``F = db.template_matrix`` and each candidate is screened at its
+        cursor's row.  A pair is dropped, as
+        not matched, when
 
             D[row] < (t - eps) * |x| * |row|,       eps = SCREEN_SLACK = 1e-9,
 
-        and every other pair takes the exact path.  The screen never drops a
-        pair that matches.  Write u = 2**-53, n = 151, gamma_n = nu / (1 - nu)
-        ~ 1.7e-14, P = ||x|| ||row|| with the exact norms, and N = |x| |row|
-        with the computed ones.  The guard (the call's norm and every nonzero
-        template norm in ``SCREEN_NORMS``, so NaN and inf fail it) keeps every
-        product, sum and bound a normal number up to absolute errors far below
-        u P, so the usual bounds hold:
+        and every other pair, a part-way exploit under the first screen
+        included, takes the exact path.  The screen never drops a pair that
+        matches.  The rows of either ``F`` are rows of ``db.template_matrix``
+        and the bounds below hold in any summation order, so the choice
+        between them sets only the cost of a step, never its events.
+        Write u = 2**-53, n = 151, gamma_n = nu / (1 - nu) ~ 1.7e-14,
+        P = ||x|| ||row|| with the exact norms, and N = |x| |row| with the
+        computed ones.  The guard (the call's norm and every nonzero template
+        norm in ``SCREEN_NORMS``, so NaN and inf fail it) keeps every product,
+        sum and bound a normal number up to absolute errors far below u P, so
+        the usual bounds hold:
 
         * both the exact ``ddot`` and ``D[row]`` are within gamma_n P of the
           true dot product, in any summation order, since the sum of
@@ -136,10 +154,10 @@ class StateTable:
         and ``<`` fails.  Where a norm is zero the exact path gives 0.0, so
         the pair is not matched, and ``<`` fails as well: with a zero call
         (which also fails the guard) or an all-zero template row every
-        product is zero, so ``D[row]`` and the bound are both zero.  Under the guard no NaN
-        reaches the comparison, so keeping ``D[row] >= bound`` drops exactly
-        the pairs above.  Outside the guard, or with fewer candidates, every
-        pair takes the exact path.
+        product is zero, so ``D[row]`` and the bound are both zero.  Under
+        the guard no NaN reaches the comparison, so keeping
+        ``D[row] >= bound`` drops exactly the pairs above.  Outside the
+        guard, or with fewer candidates, every pair takes the exact path.
         """
         if not 0.0 < threshold <= 1.0:
             raise MonitorError(f"cosine threshold must lie in (0, 1], got {threshold}")
@@ -160,15 +178,20 @@ class StateTable:
                     f"candidate exploit id {exc.args[0]} is not in the state table"
                 ) from None
 
-        norm = float(np.sqrt(x @ x))
+        norm = math.sqrt(x.dot(x))
         cursors = self._cursors
         matrix, norms = db.template_matrix, db.template_norms
         low, high = SCREEN_NORMS
         pairs = zip(ids, places)
         if len(ids) >= SCREEN_MIN_CANDIDATES and self._screens and low <= norm <= high:
-            rows = cursors if every else cursors[places]
-            bound = norms[rows] * ((threshold - SCREEN_SLACK) * norm)
-            kept = np.flatnonzero((matrix @ x)[rows] >= bound).tolist()
+            scale = (threshold - SCREEN_SLACK) * norm
+            partway = cursors != db.start_rows
+            if np.count_nonzero(partway) < SCREEN_EVERY_ROW_PARTWAY:
+                keep = db.start_matrix.dot(x) >= db.start_norms * scale
+                keep |= partway
+            else:
+                keep = matrix.dot(x)[cursors] >= norms[cursors] * scale
+            kept = (keep if every else keep[places]).nonzero()[0].tolist()
             pairs = [(ids[j], places[j]) for j in kept]
 
         dot = x.dot

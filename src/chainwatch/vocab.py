@@ -21,7 +21,7 @@ import importlib.resources
 import io
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -140,25 +140,29 @@ def vocabulary_files(vocab_dir: str | Path | None = None) -> tuple[Path, Path, P
 
 @dataclass(frozen=True)
 class Vocabularies:
-    """Index maps for every text-valued instruction-call field."""
+    """Index maps for every text-valued instruction-call field.
+
+    ``files``, the paths the two vocabularies were read from, if any, only
+    prefix the error message of a faulty one and are not kept.
+    """
 
     packages: tuple[str, ...]
     io_types: tuple[str, ...]
     package_index: dict[str, int] = field(repr=False, default_factory=dict)
     io_type_index: dict[str, int] = field(repr=False, default_factory=dict)
+    files: InitVar[tuple[Path | None, Path | None]] = (None, None)
 
-    def __post_init__(self):
-        if len(self.packages) != N_PACKAGES:
-            raise VocabularyError(
-                f"package vocabulary must have {N_PACKAGES} entries, got {len(self.packages)}"
-            )
-        if len(self.io_types) != N_IO_TYPES:
-            raise VocabularyError(
-                f"io-type vocabulary must have {N_IO_TYPES} entries, got {len(self.io_types)}"
-            )
-        for name, seq in (("package", self.packages), ("io-type", self.io_types)):
+    def __post_init__(self, files):
+        named = (("package", self.packages, N_PACKAGES), ("io-type", self.io_types, N_IO_TYPES))
+        prefixes = [f"{path}: " if path else "" for path in files]
+        for (name, seq, size), prefix in zip(named, prefixes):
+            if len(seq) != size:
+                raise VocabularyError(
+                    f"{prefix}{name} vocabulary must have {size} entries, got {len(seq)}"
+                )
+        for (name, seq, _), prefix in zip(named, prefixes):
             if len(set(seq)) != len(seq):
-                raise VocabularyError(f"duplicate entry in {name} vocabulary")
+                raise VocabularyError(f"{prefix}duplicate entry in {name} vocabulary")
         object.__setattr__(self, "package_index", {p: i for i, p in enumerate(self.packages)})
         object.__setattr__(self, "io_type_index", {t: i for i, t in enumerate(self.io_types)})
 
@@ -186,4 +190,6 @@ def load_vocabularies(vocab_dir: str | Path | None = None) -> Vocabularies:
                 f"{categories_file} does not match the built-in category list"
             )
 
-    return Vocabularies(packages=tuple(packages), io_types=tuple(io_types))
+    return Vocabularies(
+        packages=tuple(packages), io_types=tuple(io_types), files=(packages_file, io_file)
+    )

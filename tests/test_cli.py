@@ -518,12 +518,15 @@ def _bad_embeddings(tmp_path):
     return ["encode", str(FIXTURES / "benign_pool.jsonl"), "--embeddings", table], table
 
 
-def _short_package_vocabulary(tmp_path):
-    vocab = tmp_path / "vocab"
-    shutil.copytree(default_vocab_dir(), vocab)
-    packages = vocab / "packages.txt"
-    _write(packages, packages.read_text().split()[:21])
-    return ["encode", str(FIXTURES / "benign_pool.jsonl"), "--vocab-dir", str(vocab)], packages
+def _short_vocabulary(name):
+    """A builder of a vocabulary directory whose file ``name`` lacks its last entry."""
+    def build(tmp_path):
+        vocab = tmp_path / "vocab"
+        shutil.copytree(default_vocab_dir(), vocab)
+        short = vocab / name
+        _write(short, short.read_text().split()[:-1])
+        return ["encode", str(FIXTURES / "benign_pool.jsonl"), "--vocab-dir", str(vocab)], short
+    return build
 
 
 # case -> (tmp_path -> (argv, the faulty file), the error line for that file)
@@ -547,7 +550,7 @@ _INPUT_FAULTS = {
                              '{"edge": [1, 2], "label": "call"}'),
         "Error: {path} line 3: call edge must run statement -> entry, got entry -> entry"),
     "fingerprint-without-roles": (
-        _no_roles, "Error: exploit 0: need at least one source and one sink role"),
+        _no_roles, "Error: {path}: exploit 0: need at least one source and one sink role"),
     "model-layer-size": (
         lambda d: _bad_model(d, _model_header(152, 150, 100, 79)),
         "Error: {path}: layer sizes (152, 150, 100, 79) do not match (151, 150, 100, 79)"),
@@ -557,7 +560,11 @@ _INPUT_FAULTS = {
         _bad_embeddings,
         "Error: {path} line 1: bad float: could not convert string to float: 'x'"),
     "package-vocabulary-21": (
-        _short_package_vocabulary, "Error: package vocabulary must have 22 entries, got 21"),
+        _short_vocabulary("packages.txt"),
+        "Error: {path}: package vocabulary must have 22 entries, got 21"),
+    "io-type-vocabulary-23": (
+        _short_vocabulary("io_types.txt"),
+        "Error: {path}: io-type vocabulary must have 24 entries, got 23"),
 }
 
 
@@ -852,6 +859,13 @@ def test_non_finite_float_names_the_flag(flag, value, via, tmp_path, capsys):
         config.write_text(json.dumps({flag[2:].replace("-", "_"): float(value)}))
         args += ["--config", str(config)]
     _assert_refused_as_usage(main(args), flag, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("value", ("1e30", "inf"))
+def test_filler_rate_above_the_bound_names_the_flag(value, tmp_path, capsys):
+    """Unchecked, 1e30 failed in NumPy's Poisson draw after the graph was mined."""
+    rc = main([*_without_inputs("--filler-rate", tmp_path), "--filler-rate", value])
+    _assert_refused_as_usage(rc, "--filler-rate", tmp_path, capsys)
 
 
 def test_usage_error_exit_1(capsys):

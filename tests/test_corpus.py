@@ -8,6 +8,7 @@ import pytest
 
 from chainwatch.corpus import (
     CorpusError,
+    MAX_FILLER_RATE,
     PaddingConfig,
     build_xy,
     emit_benign,
@@ -281,6 +282,13 @@ def test_bad_label_line_after_repeated_lines_fails_as_without_the_memo(
         read_labels(path)
     assert str(got.value) == str(want.value)
     assert f"trace_00001.labels line {lineno}: {bad_line.strip()!r}" in str(got.value)
+
+
+@pytest.mark.parametrize("rate", (1e30, math.inf))
+def test_filler_rate_above_the_bound_refused(rate, small_world):
+    with pytest.raises(CorpusError, match=r"filler_rate must lie in \[0, 1000\.0\]"):
+        PaddingConfig(benign_pool=tuple(small_world.benign_pool), filler_rate=rate)
+    PaddingConfig(benign_pool=tuple(small_world.benign_pool), filler_rate=MAX_FILLER_RATE)
 
 
 def test_nan_rates_refused(tmp_path, small_world, encoder):

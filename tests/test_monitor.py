@@ -18,8 +18,10 @@ from chainwatch import monitor
 from chainwatch.encoder import VECTOR_DIM
 from chainwatch.monitor import (
     DEFAULT_COSINE_THRESHOLD,
+    SCREEN_EVERY_ROW_PARTWAY,
     SCREEN_MIN_CANDIDATES,
     SCREEN_NORMS,
+    SCREEN_SLACK,
     EventKind,
     MonitorError,
     StateTable,
@@ -419,9 +421,11 @@ def wide_db(encoder, step_db):
     return db
 
 
-def test_compact_step_is_the_references_matches(wide_db):
+def test_compact_step_is_the_references_matches(wide_db, monkeypatch):
     """The screened and the exact path return exactly the reference's ADVANCED
-    and ALARM events, and move the cursors alike."""
+    and ALARM events, and move the cursors alike: with the screens switching
+    at ``SCREEN_EVERY_ROW_PARTWAY`` part-way exploits, and with every screen
+    over every row."""
     ids = wide_db.exploit_ids
     candidates = st.one_of(
         st.lists(st.sampled_from(ids), max_size=SCREEN_MIN_CANDIDATES - 1),
@@ -429,6 +433,7 @@ def test_compact_step_is_the_references_matches(wide_db):
         st.just(list(ids)),
     )
     screened = set()
+    part_way = set()
 
     @settings(deadline=None, max_examples=100)
     @given(data=st.data())
@@ -437,11 +442,16 @@ def test_compact_step_is_the_references_matches(wide_db):
         cursors = dict.fromkeys(ids, 0)
         for offset in range(data.draw(st.integers(1, 20))):
             cands, x, threshold = data.draw(_step_args(wide_db, cursors, candidates))
-            screened.add(len(set(cands)) >= SCREEN_MIN_CANDIDATES)
+            screen = len(set(cands)) >= SCREEN_MIN_CANDIDATES
+            screened.add(screen)
+            part_way.add(screen and any(cursors[eid] for eid in cands))
             _step_compact(table, cursors, cands, x, offset, threshold)
 
-    steps()
+    for every_row_partway in (SCREEN_EVERY_ROW_PARTWAY, 0):
+        monkeypatch.setattr(monitor, "SCREEN_EVERY_ROW_PARTWAY", every_row_partway)
+        steps()
     assert screened == {False, True}
+    assert True in part_way  # a screened step ran with a candidate part-way through its chain
 
 
 def _event_bits(events):
@@ -548,3 +558,61 @@ def test_screen_edges_take_the_exact_path(wide_db, exact_pairs):
     step(wide_db[1].template_vectors[0], 7, some)
     assert len(exact_pairs) == len(some)
 
+
+def _screen_passes(x, row):
+    """The screen's test on ``row``, from the cosine; no cosine lies near the
+    bound, so rounding cannot decide it."""
+    c = cosine(x, row)
+    assert abs(c - (DEFAULT_COSINE_THRESHOLD - SCREEN_SLACK)) > 1e-6
+    return c >= DEFAULT_COSINE_THRESHOLD - SCREEN_SLACK
+
+
+def test_screen_compares_a_part_way_exploit_exactly(wide_db, exact_pairs):
+    """An exploit part-way through its chain is compared exactly although its
+    first template fails the screen; an exploit at its start only when its
+    first template passes."""
+    ids = wide_db.exploit_ids
+    t = DEFAULT_COSINE_THRESHOLD
+    eid = next(e for e in ids if len(wide_db[e]) > 2
+               and not _screen_passes(wide_db[e].template_vectors[1],
+                                      wide_db[e].template_vectors[0]))
+    first, second = wide_db[eid].template_vectors[:2]
+    table = StateTable(wide_db)
+    cursors = dict.fromkeys(ids, 0)
+    assert [e.kind for e in _step_compact(table, cursors, [eid], first, 0, t)] == [
+        EventKind.ADVANCED
+    ]
+
+    exact_pairs.clear()
+    got = _step_compact(table, cursors, ids, second, 1, t)
+    assert (EventKind.ADVANCED, eid) in [(e.kind, e.exploit_id) for e in got]
+    assert next_index(table, eid) == 2
+    at_start = [
+        e for e in ids if e != eid and _screen_passes(second, wide_db[e].template_vectors[0])
+    ]
+    assert len(exact_pairs) == 1 + len(at_start)
+
+
+def test_screen_over_every_row_with_many_exploits_part_way(wide_db, exact_pairs):
+    """With ``SCREEN_EVERY_ROW_PARTWAY`` exploits part-way, the screen takes
+    every exploit at its cursor's row, so it drops part-way exploits too, and
+    the step still gives the reference's events."""
+    ids = wide_db.exploit_ids
+    t = DEFAULT_COSINE_THRESHOLD
+    table = StateTable(wide_db)
+    cursors = dict.fromkeys(ids, 0)
+    chains = [e for e in ids if len(wide_db[e]) > 2]
+    for offset, eid in enumerate(chains[:SCREEN_EVERY_ROW_PARTWAY]):
+        _step_compact(table, cursors, [eid], wide_db[eid].template_vectors[0], offset, t)
+    part_way = [e for e in ids if cursors[e]]
+    assert len(part_way) >= SCREEN_EVERY_ROW_PARTWAY
+
+    eid = part_way[0]
+    x = wide_db[eid].template_vectors[cursors[eid]]
+    rows = {e: wide_db[e].template_vectors[cursors[e]] for e in ids}
+    exact_pairs.clear()
+    got = _step_compact(table, cursors, ids, x, len(chains), t)
+    assert (EventKind.ADVANCED, eid) in [(e.kind, e.exploit_id) for e in got]
+    kept = [e for e in ids if _screen_passes(x, rows[e])]
+    assert len(exact_pairs) == len(kept)
+    assert any(e not in kept for e in part_way)
