@@ -5,14 +5,18 @@ r"""Print one sha256 per detection mode, and one for training, over everything t
 
 Runs ``engine.detect`` and ``engine.detect_naive`` over every trace of one
 corpus split (sorted by file name, a fresh state table per trace, the bundled
-embeddings, vocabularies and white-list unless given) and hashes every field
-of every ``AlarmRecord`` and ``SessionSummary`` in order.  Then runs
+embeddings, vocabularies and white-list unless given) and hashes the
+recorded fields (``RECORDED_FIELDS``) of every ``AlarmRecord`` and
+``SessionSummary`` in order.  Then runs
 ``mlp.train`` on the corpus's train split with the benchmark's round recipe
 (``TRAIN_CONFIG``) and hashes every tensor's bytes and every loss of its
 report.  Floats are hashed as ``float.hex``, so two trees print the same
 digest only when their outputs are bit-identical.  One line per detection
 mode, ``<mode> alarms=<n> sha256=<hex>`` (``detect``, ``detect_naive``), then
-``train rows=<n> sha256=<hex>``.
+``train rows=<n> sha256=<hex>``.  When a record type has fields beyond its
+recorded ones, a mode's line is followed by ``<mode> new-fields=<names>
+sha256=<hex>`` over those fields alone, so the recorded lines still compare
+across a change that adds a counter.
 
 It imports ``chainwatch`` from the ``src`` next to it, so a copy placed in
 another checkout digests that checkout.
@@ -59,6 +63,15 @@ from chainwatch.fingerprints import WhiteList, load_fingerprints
 
 DEFAULT_WHITELIST = ROOT / "src" / "chainwatch" / "data" / "fixtures" / "whitelist.txt"
 TRAIN_CONFIG = mlp.TrainConfig(learning_rate=2.0, epochs=2, batch_size=32, seed=0)
+# The fields the recorded lines hash, in order, by record type.
+RECORDED_FIELDS = {
+    "AlarmRecord": ("trace_id", "offset", "exploit_id", "cwe_id", "similarity"),
+    "SessionSummary": (
+        "trace_id", "total_calls", "whitelisted_calls", "encoded_calls",
+        "classifier_invocations", "monitor_steps", "comparisons", "advanced_events",
+        "no_match_events", "alarms", "halted",
+    ),
+}
 
 
 def _field(value) -> str:
@@ -67,12 +80,17 @@ def _field(value) -> str:
     return repr(value)
 
 
-def _record(obj) -> bytes:
-    fields = ((f.name, _field(getattr(obj, f.name))) for f in dataclasses.fields(obj))
+def _line(obj, names) -> bytes:
+    fields = ((name, _field(getattr(obj, name))) for name in names)
     return (type(obj).__name__ + "(" + ",".join(f"{k}={v}" for k, v in fields) + ")\n").encode()
 
 
+def _record(obj) -> bytes:
+    return _line(obj, RECORDED_FIELDS[type(obj).__name__])
+
+
 def digest(results) -> tuple[int, str]:
+    """The alarm count and a sha256 over the recorded fields of every record."""
     h = hashlib.sha256()
     alarms = 0
     for result in results:
@@ -80,6 +98,22 @@ def digest(results) -> tuple[int, str]:
             h.update(_record(record))
         alarms += len(result.alarms)
     return alarms, h.hexdigest()
+
+
+def new_fields_digest(results) -> tuple[list[str], str] | None:
+    """``(names, sha256)`` over every field that ``RECORDED_FIELDS`` does not
+    list, named ``<type>.<field>``; None when no record has one."""
+    h = hashlib.sha256()
+    names: dict[str, None] = {}
+    for result in results:
+        for record in (*result.alarms, result.summary):
+            kind = type(record).__name__
+            recorded = RECORDED_FIELDS[kind]
+            new = [f.name for f in dataclasses.fields(record) if f.name not in recorded]
+            if new:
+                h.update(_line(record, new))
+                names.update((f"{kind}.{name}", None) for name in new)
+    return (list(names), h.hexdigest()) if names else None
 
 
 def train_digest(model: mlp.MlpModel, report: mlp.TrainReport) -> str:
@@ -111,8 +145,12 @@ def main() -> int:
         "detect_naive": lambda t: engine.detect_naive(t, encoder, whitelist, db),
     }
     for mode, run in modes.items():
-        alarms, hexdigest = digest(run(t) for t in traces)
+        results = [run(t) for t in traces]
+        alarms, hexdigest = digest(results)
         print(f"{mode} alarms={alarms} sha256={hexdigest}")
+        added = new_fields_digest(results)
+        if added:
+            print(f"{mode} new-fields={','.join(added[0])} sha256={added[1]}")
 
     items = corpus.load_split(args.corpus, "train", encoder.vocabs)
     x, t = corpus.build_xy(items, encoder, corpus.read_manifest(args.corpus)["n_labels"])

@@ -22,7 +22,6 @@ or makes no comparisons at all, both ratios are ``None``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,70 +32,16 @@ from .fingerprints import FingerprintDb, WhiteList
 from .trace import Trace
 
 
-@dataclass
-class LatencyStats:
-    calls: int
-    min_us: float
-    median_us: float
-    p99_us: float
-    mean_us: float
-
-    @classmethod
-    def from_ns(cls, samples_ns) -> "LatencyStats":
-        us = np.asarray(samples_ns, dtype=np.float64) / 1000.0
-        return cls(
-            calls=len(us),
-            min_us=float(np.min(us)),
-            median_us=float(np.median(us)),
-            p99_us=float(np.percentile(us, 99)),
-            mean_us=float(np.mean(us)),
-        )
-
-    def to_json_obj(self) -> dict:
-        return dict(self.__dict__)
-
-
-@dataclass
-class ModeReport:
-    latency: LatencyStats
-    total_comparisons: int
-    non_whitelisted_calls: int
-    comparisons_per_call: float
-    alarms: int
-    per_trace_comparisons: list[int] = field(repr=False, default_factory=list)
-    alarm_keys: frozenset[tuple[int, int, int]] = field(repr=False, default_factory=frozenset)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "latency": self.latency.to_json_obj(),
-            "total_comparisons": self.total_comparisons,
-            "non_whitelisted_calls": self.non_whitelisted_calls,
-            "comparisons_per_call": self.comparisons_per_call,
-            "alarms": self.alarms,
-        }
-
-
-@dataclass
-class BenchReport:
-    engine: ModeReport
-    naive: ModeReport
-    missed: int  # naive alarms the engine did not raise
-    extra: int  # engine alarms the naive scan did not raise
-    comparison_ratio: float | None
-    latency_ratio: float | None
-    param_count: int
-    repetitions: int
-
-    def to_json_obj(self) -> dict:
-        return {
-            "engine": self.engine.to_json_obj(),
-            "naive": self.naive.to_json_obj(),
-            "agreement": {"missed": self.missed, "extra": self.extra},
-            "comparison_ratio": self.comparison_ratio,
-            "latency_ratio": self.latency_ratio,
-            "param_count": self.param_count,
-            "repetitions": self.repetitions,
-        }
+def latency_stats(samples_ns) -> dict:
+    """Count, min, median, 99th percentile and mean of ``samples_ns``, in microseconds."""
+    us = np.asarray(samples_ns, dtype=np.float64) / 1000.0
+    return {
+        "calls": len(us),
+        "min_us": float(np.min(us)),
+        "median_us": float(np.median(us)),
+        "p99_us": float(np.percentile(us, 99)),
+        "mean_us": float(np.mean(us)),
+    }
 
 
 class _StampingWhiteList(WhiteList):
@@ -112,8 +57,9 @@ class _StampingWhiteList(WhiteList):
         return api_name in self._inner
 
 
-def _measure(traces: list[Trace], whitelist: WhiteList, run, repetitions: int) -> ModeReport:
-    """Times ``run(trace, whitelist)`` over every scored call of every trace."""
+def _measure(traces: list[Trace], whitelist: WhiteList, run, repetitions: int):
+    """Times ``run(trace, whitelist)`` over every scored call of every trace; returns
+    the mode's report and its alarm keys, ``(trace, offset, exploit_id)``."""
     results = [run(trace, whitelist) for trace in traces]  # warm-up, off the clock
     scored_calls = sum(r.summary.encoded_calls for r in results)
     if scored_calls == 0:
@@ -125,65 +71,56 @@ def _measure(traces: list[Trace], whitelist: WhiteList, run, repetitions: int) -
     stamped = _StampingWhiteList(whitelist)
     samples: list[np.ndarray] = []
     for _ in range(repetitions):
-        for trace, result, mask in zip(traces, results, scored):
+        for trace, mask in zip(traces, scored):
             stamped.stamps.clear()
             run(trace, stamped)
             end = time.perf_counter_ns()
-            calls = result.summary.total_calls
-            if len(stamped.stamps) != calls:
+            if len(stamped.stamps) != mask.size:
                 raise RuntimeError(
-                    f"{trace.source_id}: {len(stamped.stamps)} white-list tests for {calls} "
+                    f"{trace.source_id}: {len(stamped.stamps)} white-list tests for {mask.size} "
                     "calls; run_detection no longer tests each call once"
                 )
             per_call = np.diff(np.array(stamped.stamps + [end], dtype=np.int64))
-            samples.append(per_call[mask[:calls]])
+            samples.append(per_call[mask])
 
-    per_trace = [r.summary.comparisons for r in results]
-    return ModeReport(
-        latency=LatencyStats.from_ns(np.concatenate(samples)),
-        total_comparisons=sum(per_trace),
-        non_whitelisted_calls=scored_calls,
-        comparisons_per_call=sum(per_trace) / scored_calls,
-        alarms=sum(len(r.alarms) for r in results),
-        per_trace_comparisons=per_trace,
-        alarm_keys=frozenset(
-            (i, a.offset, a.exploit_id) for i, r in enumerate(results) for a in r.alarms
-        ),
-    )
+    comparisons = sum(r.summary.comparisons for r in results)
+    return {
+        "latency": latency_stats(np.concatenate(samples)),
+        "total_comparisons": comparisons,
+        "non_whitelisted_calls": scored_calls,
+        "comparisons_per_call": comparisons / scored_calls,
+        "alarms": sum(len(r.alarms) for r in results),
+    }, {(i, a.offset, a.exploit_id) for i, r in enumerate(results) for a in r.alarms}
 
 
 def _ratio(naive: float, engine: float, agree: bool) -> float | None:
     return naive / engine if agree and engine else None
 
 
-def run_bench(
-    traces: list[Trace],
-    encoder: FeatureEncoder,
-    whitelist: WhiteList,
-    db: FingerprintDb,
-    model: mlp.MlpModel,
-    repetitions: int = 3,
-) -> BenchReport:
-    """Both modes at the default ``EngineConfig``, the CLI's defaults."""
+def run_bench(traces: list[Trace], encoder: FeatureEncoder, whitelist: WhiteList,
+              db: FingerprintDb, model: mlp.MlpModel, repetitions: int = 3) -> dict:
+    """Both modes at the default ``EngineConfig``, the CLI's defaults, as the JSON
+    object ``chainwatch bench --json-out`` writes.  ``agreement`` counts the naive
+    alarms the engine did not raise (``missed``) and the converse (``extra``)."""
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
 
-    engine = _measure(
+    engine, engine_keys = _measure(
         traces, whitelist, lambda trace, wl: detect(trace, encoder, wl, db, model), repetitions
     )
-    naive = _measure(
+    naive, naive_keys = _measure(
         traces, whitelist, lambda trace, wl: detect_naive(trace, encoder, wl, db), repetitions
     )
 
-    missed = len(naive.alarm_keys - engine.alarm_keys)
-    agree = missed == 0
-    return BenchReport(
-        engine=engine,
-        naive=naive,
-        missed=missed,
-        extra=len(engine.alarm_keys - naive.alarm_keys),
-        comparison_ratio=_ratio(naive.comparisons_per_call, engine.comparisons_per_call, agree),
-        latency_ratio=_ratio(naive.latency.median_us, engine.latency.median_us, agree),
-        param_count=mlp.PARAM_COUNT,
-        repetitions=repetitions,
-    )
+    missed = len(naive_keys - engine_keys)
+    per_call = naive["comparisons_per_call"], engine["comparisons_per_call"]
+    median = naive["latency"]["median_us"], engine["latency"]["median_us"]
+    return {
+        "engine": engine,
+        "naive": naive,
+        "agreement": {"missed": missed, "extra": len(engine_keys - naive_keys)},
+        "comparison_ratio": _ratio(*per_call, missed == 0),
+        "latency_ratio": _ratio(*median, missed == 0),
+        "param_count": mlp.PARAM_COUNT,
+        "repetitions": repetitions,
+    }

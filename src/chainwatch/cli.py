@@ -74,12 +74,12 @@ class _FiniteRange(click.FloatRange):
         return rv
 
 
-def _refuse_to_overwrite(out: str, embeddings: str | None, vocab_dir: str | None,
-                         inputs: dict[str, str | None]) -> None:
-    """Stop before anything is written when ``--out`` is a file the command
-    reads: the embedding table and vocabulary files, given or bundled, or one
-    of ``inputs`` (each keyed by the argument or flag that gave it)."""
-    if out == "-" or not os.path.exists(out):
+def _refuse_to_overwrite(out: str | None, embeddings: str | None, vocab_dir: str | None,
+                         inputs: dict[str, str | None], out_flag: str = "--out") -> None:
+    """Stop before anything is written when ``out``, given with ``out_flag``, is
+    a file the command reads: the embedding table and vocabulary files, given or
+    bundled, or one of ``inputs`` (each keyed by the argument or flag that gave it)."""
+    if out in (None, "-") or not os.path.exists(out):
         return
     read = [("--embeddings", embeddings if embeddings is not None else default_embedding_path())]
     read += [("--vocab-dir", path) for path in vocabulary_files(vocab_dir)]
@@ -87,7 +87,7 @@ def _refuse_to_overwrite(out: str, embeddings: str | None, vocab_dir: str | None
     for flag, path in read:
         if path not in (None, "-") and os.path.exists(path) and os.path.samefile(out, path):
             raise click.ClickException(
-                f"--out {out} is the {flag} input; refusing to overwrite it"
+                f"{out_flag} {out} is the {flag} input; refusing to overwrite it"
             )
 
 
@@ -103,8 +103,7 @@ def _read_trace(path: str, encoder: FeatureEncoder):
 _config_opt = click.option("--config", envvar="CHAINWATCH_CONFIG", show_envvar=True,
                            is_eager=True, expose_value=False, callback=_load_config,
                            help="JSON file supplying defaults for any flag.")
-_seed_opt = click.option("--seed", type=int, default=mlp.TrainConfig.seed,
-                         help="Deterministic seed.")
+
 _embeddings_opt = click.option("--embeddings", envvar="CHAINWATCH_EMBEDDINGS", show_envvar=True,
                                show_default="bundled", help="Embedding table file.")
 _vocab_opt = click.option("--vocab-dir", envvar="CHAINWATCH_VOCAB_DIR", show_envvar=True,
@@ -140,6 +139,11 @@ def _model_opt(required: bool = True):
                         required=required, help="Trained classifier file.")
 
 
+def _seed_opt(max_seed: int | None = None):
+    return click.option("--seed", type=click.IntRange(0, max_seed), default=mlp.TrainConfig.seed,
+                        help="Deterministic seed.")
+
+
 @click.group(context_settings={"show_default": True})
 @click.version_option(__version__, prog_name="chainwatch")
 def cli():
@@ -168,7 +172,7 @@ def encode(trace, embeddings, vocab_dir, out):
 
 @cli.command()
 @_config_opt
-@_seed_opt
+@_seed_opt(mlp.MAX_SEED)
 @_embeddings_opt
 @_vocab_opt
 @_corpus_opt
@@ -182,6 +186,8 @@ def encode(trace, embeddings, vocab_dir, out):
               help="Minibatch size.")
 def train(seed, embeddings, vocab_dir, corpus, out, epochs, lr, batch_size):
     """Train the classifier on a corpus directory's train split."""
+    _refuse_to_overwrite(out, embeddings, vocab_dir,
+                         {"--corpus": str(Path(corpus) / corpus_mod.MANIFEST_NAME)})
     encoder = FeatureEncoder.from_paths(embeddings, vocab_dir)
     train_cfg = mlp.TrainConfig(learning_rate=lr, epochs=epochs, batch_size=batch_size, seed=seed)
     items = corpus_mod.load_split(corpus, "train", encoder.vocabs)
@@ -262,7 +268,7 @@ def detect_naive(ctx, **opts):
 
 @cli.command(name="gen-dataset")
 @_config_opt
-@_seed_opt
+@_seed_opt()
 @_embeddings_opt
 @_vocab_opt
 @_fingerprints_opt()
@@ -400,45 +406,44 @@ def eval_cmd(embeddings, vocab_dir, fingerprints, model, corpus, split_name, pre
 def bench_cmd(embeddings, vocab_dir, fingerprints, whitelist, model, corpus, split_name,
               repetitions, max_traces, json_out):
     """Time detect and detect-naive over the scored calls of a corpus split."""
+    _refuse_to_overwrite(json_out, embeddings, vocab_dir, {
+        "--model": model, "--fingerprints": fingerprints, "--whitelist": whitelist,
+    }, "--json-out")
     encoder = FeatureEncoder.from_paths(embeddings, vocab_dir)
     db = load_fingerprints(fingerprints, encoder)
     wl = WhiteList.from_file(whitelist)
     classifier = mlp.load_model(model)
     items = corpus_mod.load_split(corpus, split_name, encoder.vocabs)
-    traces = [item.trace for item in items]
-    traces = traces[:max_traces]
+    traces = [item.trace for item in items][:max_traces]
     report = bench_mod.run_bench(traces, encoder, wl, db, classifier, repetitions=repetitions)
-    e, n = report.engine, report.naive
+    e, n, agreement = report["engine"], report["naive"], report["agreement"]
     click.echo(
-        f"traces: {len(traces)}   scored calls: {e.non_whitelisted_calls}   "
-        f"reps: {report.repetitions}"
+        f"traces: {len(traces)}   scored calls: {e['non_whitelisted_calls']}   "
+        f"reps: {report['repetitions']}"
+    )
+    for name, mode in (("engine:", e), ("naive: ", n)):
+        click.echo(
+            f"{name} median {mode['latency']['median_us']:.1f} us  "
+            f"p99 {mode['latency']['p99_us']:.1f} us  "
+            f"comparisons/call {mode['comparisons_per_call']:.2f}"
+        )
+    click.echo(
+        f"alarms: engine {e['alarms']}  naive {n['alarms']}  "
+        f"missed {agreement['missed']}  extra {agreement['extra']}"
     )
     click.echo(
-        f"engine: median {e.latency.median_us:.1f} us  p99 {e.latency.p99_us:.1f} us  "
-        f"comparisons/call {e.comparisons_per_call:.2f}"
-    )
-    click.echo(
-        f"naive:  median {n.latency.median_us:.1f} us  p99 {n.latency.p99_us:.1f} us  "
-        f"comparisons/call {n.comparisons_per_call:.2f}"
-    )
-    click.echo(
-        f"alarms: engine {e.alarms}  naive {n.alarms}  "
-        f"missed {report.missed}  extra {report.extra}"
-    )
-    click.echo(
-        f"comparison ratio (naive/engine): {_times(report.comparison_ratio, 1)}   "
-        f"latency ratio: {_times(report.latency_ratio, 2)}"
+        f"comparison ratio (naive/engine): {_times(report['comparison_ratio'], 1)}   "
+        f"latency ratio: {_times(report['latency_ratio'], 2)}"
     )
     if json_out:
-        Path(json_out).write_text(json.dumps(report.to_json_obj(), indent=1) + "\n")
+        Path(json_out).write_text(json.dumps(report, indent=1) + "\n")
     click.echo(json.dumps({
-        "engine_median_us": e.latency.median_us,
-        "naive_median_us": n.latency.median_us,
-        "missed": report.missed,
-        "extra": report.extra,
-        "comparison_ratio": report.comparison_ratio,
-        "latency_ratio": report.latency_ratio,
-        "param_count": report.param_count,
+        "engine_median_us": e["latency"]["median_us"],
+        "naive_median_us": n["latency"]["median_us"],
+        **agreement,
+        "comparison_ratio": report["comparison_ratio"],
+        "latency_ratio": report["latency_ratio"],
+        "param_count": report["param_count"],
     }))
 
 

@@ -29,6 +29,12 @@ _FORMAT_VERSION = 1
 _ACT_RELU = 1
 _ACT_LOGISTIC = 2
 _LOSS_CLAMP = 1e-7
+MAX_SEED = 2**64 - 1  # the model file's u64 seed field
+
+
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError(f"seed must lie in [0, 2**64 - 1], got {seed}")
 
 
 class ModelFormatError(ValueError):
@@ -46,6 +52,7 @@ class MlpModel:
     seed: int = 0
 
     def __post_init__(self):
+        _check_seed(self.seed)
         for name, shape in _SHAPES:
             arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
             if arr.shape != shape:
@@ -254,6 +261,7 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
+        _check_seed(self.seed)
 
 
 @dataclass
@@ -328,6 +336,8 @@ def _full_set_loss(model: MlpModel, x: np.ndarray, t: np.ndarray, pairs) -> floa
 def train(x: np.ndarray, t: np.ndarray, config: TrainConfig) -> tuple[MlpModel, TrainReport]:
     """Minibatch gradient descent from a seeded init.  Deterministic per seed.
 
+    A run whose final loss or any parameter is not finite raises ``ValueError``.
+
     The report's ``initial_loss`` and ``final_loss`` equal ``bce_loss(forward(
     model, x), t)`` bit for bit, but the forward pass runs over row chunks, so
     the peak heap is the ``(n, 79)`` array of loss terms rather than every
@@ -363,19 +373,27 @@ def train(x: np.ndarray, t: np.ndarray, config: TrainConfig) -> tuple[MlpModel, 
     initial_loss = _full_set_loss(model, x, t, pairs)
     epoch_losses = []
     n = x.shape[0]
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        batch_losses = []
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            loss, grads = loss_and_grads(model, x[idx], t[idx])
-            batch_losses.append(loss)
-            for name, grad in grads.items():
-                grad *= config.learning_rate
-                weights = getattr(model, name)
-                weights -= grad
-        epoch_losses.append(float(np.mean(batch_losses)))
-    final_loss = _full_set_loss(model, x, t, pairs)
+    # A diverging run overflows; the check after the loop reports it once.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.epochs):
+            order = rng.permutation(n)
+            batch_losses = []
+            for start in range(0, n, config.batch_size):
+                idx = order[start : start + config.batch_size]
+                loss, grads = loss_and_grads(model, x[idx], t[idx])
+                batch_losses.append(loss)
+                for name, grad in grads.items():
+                    grad *= config.learning_rate
+                    weights = getattr(model, name)
+                    weights -= grad
+            epoch_losses.append(float(np.mean(batch_losses)))
+        final_loss = _full_set_loss(model, x, t, pairs)
+    # The loss is taken on clamped probabilities, so it can be finite when a parameter is not.
+    if not (math.isfinite(final_loss) and all(np.isfinite(w).all() for _, w in model.tensors())):
+        raise ValueError(
+            f"training diverged at learning rate {config.learning_rate}: "
+            "the final loss or a parameter is not finite"
+        )
     distinct_rows = None if pairs is None else pairs[0].size
     return model, TrainReport(initial_loss, final_loss, epoch_losses, distinct_rows)
 
@@ -394,7 +412,7 @@ def save_model(model: MlpModel, path: str | Path) -> None:
         *LAYER_SIZES,
         _ACT_RELU,
         _ACT_LOGISTIC,
-        model.seed & 0xFFFFFFFFFFFFFFFF,
+        model.seed,
     )
     blocks = b"".join(np.ascontiguousarray(arr, dtype="<f8").tobytes() for _, arr in model.tensors())
     Path(path).write_bytes(header + blocks)

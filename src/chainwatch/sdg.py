@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .fingerprints import Fingerprint
@@ -59,14 +60,15 @@ class Sdg:
     nodes: dict[int, SdgNode]
     edges: list[tuple[int, int, str]]
 
-    def out_edges(self, label_set: frozenset[str]) -> dict[int, list[int]]:
-        adj: dict[int, list[int]] = {nid: [] for nid in self.nodes}
+    @cached_property
+    def flow_successors(self) -> dict[int, list[int]]:
+        """Each node's distinct successors along ``FLOW_LABELS`` edges, sorted;
+        built on first use and kept, so every query of the graph shares it."""
+        adj: dict[int, set[int]] = {nid: set() for nid in self.nodes}
         for src, dst, label in self.edges:
-            if label in label_set:
-                adj[src].append(dst)
-        for nid in adj:
-            adj[nid] = sorted(set(adj[nid]))
-        return adj
+            if label in FLOW_LABELS:
+                adj[src].add(dst)
+        return {nid: sorted(dsts) for nid, dsts in adj.items()}
 
 
 def load_sdg(path: str | Path, vocabs: Vocabularies) -> Sdg:
@@ -164,8 +166,8 @@ def _statement_cost(node: SdgNode) -> int:
     return 1 if node.kind == "statement" and node.call is not None else 0
 
 
-def _min_statement_paths(sdg: Sdg, start: int, adj: dict[int, list[int]]):
-    """0/1-BFS from ``start``: distance = statement nodes entered after start.
+def _min_statement_paths(sdg: Sdg, start: int):
+    """0/1-BFS from ``start`` along flow edges: distance = statements entered after start.
 
     Neighbor lists are sorted and a node's parent is fixed on first (strict)
     improvement, so reconstructed paths are deterministic.
@@ -176,7 +178,7 @@ def _min_statement_paths(sdg: Sdg, start: int, adj: dict[int, list[int]]):
     queue = deque([start])
     while queue:
         u = queue.popleft()
-        for v in adj[u]:
+        for v in sdg.flow_successors[u]:
             cost = _statement_cost(sdg.nodes[v])
             cand = dist[u] + cost
             if dist[v] is None or cand < dist[v]:
@@ -220,10 +222,9 @@ def match_query_detailed(
     if not source_nodes or not sink_nodes:
         return []
 
-    adj = sdg.out_edges(FLOW_LABELS)
     witnesses = []
     for s in source_nodes:
-        dist, parent = _min_statement_paths(sdg, s, adj)
+        dist, parent = _min_statement_paths(sdg, s)
         for k in sink_nodes:
             if k == s or dist[k] is None:
                 continue

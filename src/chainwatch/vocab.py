@@ -148,8 +148,8 @@ class Vocabularies:
 
     packages: tuple[str, ...]
     io_types: tuple[str, ...]
-    package_index: dict[str, int] = field(repr=False, default_factory=dict)
-    io_type_index: dict[str, int] = field(repr=False, default_factory=dict)
+    package_index: dict[str, int] = field(init=False, repr=False)
+    io_type_index: dict[str, int] = field(init=False, repr=False)
     files: InitVar[tuple[Path | None, Path | None]] = (None, None)
 
     def __post_init__(self, files):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chainwatch.bench import LatencyStats, run_bench
+from chainwatch.bench import latency_stats, run_bench
 from chainwatch.engine import detect, detect_naive
 from chainwatch.fingerprints import WhiteList
 from chainwatch.mlp import init_model
@@ -11,13 +11,13 @@ from .synthgen import mixed_trace
 
 
 def test_latency_stats_from_ns():
-    stats = LatencyStats.from_ns([1000, 2000, 3000, 4000])
-    assert stats.calls == 4
-    assert stats.min_us == 1.0
-    assert stats.median_us == 2.5
-    assert stats.mean_us == 2.5
-    assert stats.p99_us == pytest.approx(3.97)
-    assert set(stats.to_json_obj()) == {"calls", "min_us", "median_us", "p99_us", "mean_us"}
+    stats = latency_stats([1000, 2000, 3000, 4000])
+    assert list(stats) == ["calls", "min_us", "median_us", "p99_us", "mean_us"]
+    assert stats["calls"] == 4
+    assert stats["min_us"] == 1.0
+    assert stats["median_us"] == 2.5
+    assert stats["mean_us"] == 2.5
+    assert stats["p99_us"] == pytest.approx(3.97)
 
 
 @pytest.fixture(scope="module")
@@ -35,27 +35,34 @@ def test_run_bench_counters_deterministic(small_world, small_db, encoder, whitel
     report = run_bench(
         bench_traces, encoder, whitelist, small_db, model, repetitions=1
     )
+    assert list(report) == ["engine", "naive", "agreement", "comparison_ratio",
+                            "latency_ratio", "param_count", "repetitions"]
+    assert list(report["engine"]) == list(report["naive"]) == [
+        "latency", "total_comparisons", "non_whitelisted_calls", "comparisons_per_call", "alarms"
+    ]
     # naive mode: every non-whitelisted call compares against all 6 exploits
-    assert report.naive.comparisons_per_call == pytest.approx(6.0)
+    assert report["naive"]["comparisons_per_call"] == pytest.approx(6.0)
     keys = {}
-    for name, mode, run in (
-        ("naive", report.naive, lambda t: detect_naive(t, encoder, whitelist, small_db)),
-        ("engine", report.engine, lambda t: detect(t, encoder, whitelist, small_db, model)),
+    for name, run in (
+        ("naive", lambda t: detect_naive(t, encoder, whitelist, small_db)),
+        ("engine", lambda t: detect(t, encoder, whitelist, small_db, model)),
     ):
+        mode = report[name]
         results = [run(trace) for trace in bench_traces]
-        per_trace = [r.summary.comparisons for r in results]
-        assert mode.per_trace_comparisons == per_trace
-        assert mode.total_comparisons == sum(per_trace)
-        assert mode.alarms == sum(len(r.alarms) for r in results)
-        assert mode.non_whitelisted_calls == sum(r.summary.encoded_calls for r in results)
+        assert mode["total_comparisons"] == sum(r.summary.comparisons for r in results)
+        assert mode["alarms"] == sum(len(r.alarms) for r in results)
+        assert mode["non_whitelisted_calls"] == sum(r.summary.encoded_calls for r in results)
         keys[name] = {
             (i, a.offset, a.exploit_id) for i, r in enumerate(results) for a in r.alarms
         }
     # the untrained model misses some of the naive scan's alarms on these traces
-    assert report.missed == len(keys["naive"] - keys["engine"]) > 0
-    assert report.extra == len(keys["engine"] - keys["naive"])
-    assert report.comparison_ratio is None
-    assert report.param_count == 45879
+    assert report["agreement"] == {
+        "missed": len(keys["naive"] - keys["engine"]),
+        "extra": len(keys["engine"] - keys["naive"]),
+    }
+    assert report["agreement"]["missed"] > 0
+    assert report["comparison_ratio"] is None
+    assert report["param_count"] == 45879
 
 
 def test_ratios_when_alarms_agree(small_db, encoder, whitelist, bench_traces):
@@ -63,22 +70,24 @@ def test_ratios_when_alarms_agree(small_db, encoder, whitelist, bench_traces):
     model = init_model(0)
     model.b3[:] = 1000.0
     report = run_bench(bench_traces, encoder, whitelist, small_db, model, repetitions=1)
-    assert report.engine.alarms == report.naive.alarms > 0
-    assert (report.missed, report.extra) == (0, 0)
-    assert report.comparison_ratio == pytest.approx(
-        report.naive.comparisons_per_call / report.engine.comparisons_per_call
+    engine, naive = report["engine"], report["naive"]
+    assert engine["alarms"] == naive["alarms"] > 0
+    assert report["agreement"] == {"missed": 0, "extra": 0}
+    assert report["comparison_ratio"] == pytest.approx(
+        naive["comparisons_per_call"] / engine["comparisons_per_call"]
     )
-    assert report.comparison_ratio == pytest.approx(1.0)
-    assert report.latency_ratio == pytest.approx(
-        report.naive.latency.median_us / report.engine.latency.median_us
+    assert report["comparison_ratio"] == pytest.approx(1.0)
+    assert report["latency_ratio"] == pytest.approx(
+        naive["latency"]["median_us"] / engine["latency"]["median_us"]
     )
 
 
 def test_run_bench_latency_fields_sane(small_db, encoder, whitelist, bench_traces):
     report = run_bench(bench_traces, encoder, whitelist, small_db, init_model(0), repetitions=2)
-    for mode in (report.engine, report.naive):
-        assert mode.latency.calls == 2 * mode.non_whitelisted_calls
-        assert 0 <= mode.latency.min_us <= mode.latency.median_us <= mode.latency.p99_us
+    for mode in (report["engine"], report["naive"]):
+        latency = mode["latency"]
+        assert latency["calls"] == 2 * mode["non_whitelisted_calls"]
+        assert 0 <= latency["min_us"] <= latency["median_us"] <= latency["p99_us"]
 
 
 def test_latency_counts_only_scored_calls(small_db, encoder, bench_traces):
@@ -95,9 +104,9 @@ def test_latency_counts_only_scored_calls(small_db, encoder, bench_traces):
         detect(t, encoder, half, small_db, model).summary.encoded_calls for t in bench_traces
     )
     assert scored == total - skipped
-    for mode in (report.engine, report.naive):
-        assert mode.non_whitelisted_calls == scored
-        assert mode.latency.calls == 2 * scored
+    for mode in (report["engine"], report["naive"]):
+        assert mode["non_whitelisted_calls"] == scored
+        assert mode["latency"]["calls"] == 2 * scored
 
 
 def test_missed_alarms_give_no_ratio(small_db, encoder, whitelist, bench_traces):
@@ -105,13 +114,11 @@ def test_missed_alarms_give_no_ratio(small_db, encoder, whitelist, bench_traces)
     model = init_model(0)
     model.b3[:] = -1000.0
     report = run_bench(bench_traces, encoder, whitelist, small_db, model, repetitions=1)
-    assert report.engine.total_comparisons == 0
-    assert report.naive.alarms > 0
-    assert report.missed == report.naive.alarms
-    assert report.extra == 0
-    assert report.comparison_ratio is None
-    assert report.latency_ratio is None
-    assert report.to_json_obj()["agreement"] == {"missed": report.missed, "extra": 0}
+    assert report["engine"]["total_comparisons"] == 0
+    assert report["naive"]["alarms"] > 0
+    assert report["agreement"] == {"missed": report["naive"]["alarms"], "extra": 0}
+    assert report["comparison_ratio"] is None
+    assert report["latency_ratio"] is None
 
 
 def test_run_bench_validates_repetitions(small_db, encoder, whitelist, bench_traces):

@@ -338,6 +338,34 @@ class TestOutNeverAnInput:
         assert "--vocab-dir" in capsys.readouterr().err
         assert (vocab / "io_types.txt").read_bytes() == before
 
+    def test_bench_json_out_is_the_model(self, cli_corpus, cli_model, world_files, tmp_path,
+                                         capsys):
+        model = tmp_path / "victim.cwm"
+        shutil.copy(cli_model, model)
+        before = model.read_bytes()
+        rc = main([
+            "bench", "--corpus", str(cli_corpus), "--model", str(model),
+            "--fingerprints", str(world_files["fingerprints"]), "--json-out", str(model),
+        ])
+        assert rc == 1
+        assert _one_error_line(capsys.readouterr().err) == (
+            f"Error: --json-out {model} is the --model input; refusing to overwrite it"
+        )
+        assert model.read_bytes() == before
+
+    def test_train_out_is_a_vocabulary_file(self, cli_corpus, tmp_path, capsys):
+        vocab = tmp_path / "vocab"
+        shutil.copytree(default_vocab_dir(), vocab)
+        out = vocab / "io_types.txt"
+        before = out.read_bytes()
+        rc = main(["train", "--corpus", str(cli_corpus), "--vocab-dir", str(vocab),
+                   "--out", str(out)])
+        assert rc == 1
+        assert _one_error_line(capsys.readouterr().err) == (
+            f"Error: --out {out} is the --vocab-dir input; refusing to overwrite it"
+        )
+        assert out.read_bytes() == before
+
     def test_bundled_embeddings_count_as_an_input(self):
         # called directly: the check writes nothing, so the bundled file is safe
         with pytest.raises(ClickException, match="--embeddings"):
@@ -502,8 +530,8 @@ def _bad_model(tmp_path, raw: bytes):
             str(FIXTURES / "sqlinj.fp"), "--model", str(model)], str(model)
 
 
-def _model_header(*sizes) -> bytes:
-    return b"CWMLP\x00" + struct.pack("<H4I2BQ", 1, *sizes, 1, 2, 0)
+def _model_header(*sizes, version=1, activations=(1, 2)) -> bytes:
+    return b"CWMLP\x00" + struct.pack("<H4I2BQ", version, *sizes, *activations, 0)
 
 
 def _no_roles(tmp_path):
@@ -516,6 +544,49 @@ def _no_roles(tmp_path):
 def _bad_embeddings(tmp_path):
     table = _write(tmp_path / "e.txt", ["tok 1 2 3 4 5 6 7 8 9 x"])
     return ["encode", str(FIXTURES / "benign_pool.jsonl"), "--embeddings", table], table
+
+
+def _bad_config(tmp_path, text):
+    config = _write(tmp_path / "config.json", [text])
+    return ["encode", str(FIXTURES / "benign_pool.jsonl"), "--config", config], config
+
+
+def _bad_fingerprint_lines(tmp_path, *lines):
+    fp = _write(tmp_path / "f.fp", lines)
+    return ["detect-naive", str(FIXTURES / "benign_pool.jsonl"), "--fingerprints", fp], fp
+
+
+def _sqlinj_corpus(tmp_path):
+    assert main(_gen_dataset(tmp_path, FIXTURES / "sqlinj.fp", FIXTURES / "sqlinj.sdg")) == 0
+    return tmp_path / "corpus"
+
+
+def _short_labels(tmp_path):
+    """The first train trace cut to 3 calls and its labels to 2 lines."""
+    trace = sorted((_sqlinj_corpus(tmp_path) / "train").glob("trace_*.jsonl"))[0]
+    labels = trace.with_suffix(".labels")
+    _write(trace, trace.read_text().splitlines()[:3])
+    _write(labels, labels.read_text().splitlines()[:2])
+    return ["train", "--corpus", str(tmp_path / "corpus"), "--out", str(tmp_path / "m.cwm")], trace
+
+
+def _empty_split(tmp_path):
+    split = _sqlinj_corpus(tmp_path) / "train"
+    for trace in split.glob("trace_*.jsonl"):
+        trace.unlink()
+    return ["train", "--corpus", str(tmp_path / "corpus"), "--out", str(tmp_path / "m.cwm")], split
+
+
+def _eval_without_predictions(tmp_path):
+    return ["eval", "--corpus", str(_sqlinj_corpus(tmp_path)), "--split-name", "train"], None
+
+
+def _no_io_types(tmp_path):
+    vocab = tmp_path / "vocab"
+    shutil.copytree(default_vocab_dir(), vocab)
+    (vocab / "io_types.txt").unlink()
+    argv = ["encode", str(FIXTURES / "benign_pool.jsonl"), "--vocab-dir", str(vocab)]
+    return argv, vocab / "io_types.txt"
 
 
 def _short_vocabulary(name):
@@ -565,6 +636,49 @@ _INPUT_FAULTS = {
     "io-type-vocabulary-23": (
         _short_vocabulary("io_types.txt"),
         "Error: {path}: io-type vocabulary must have 24 entries, got 23"),
+    "io-type-vocabulary-missing": (_no_io_types, "Error: missing vocabulary file: {path}"),
+    "fingerprint-invalid-json": (
+        lambda d: _bad_fingerprint_lines(d, "{bad"),
+        "Error: {path} line 1: invalid JSON: Expecting property name enclosed in double "
+        "quotes: line 1 column 2 (char 1)"),
+    "fingerprint-not-an-object": (
+        lambda d: _bad_fingerprint_lines(d, "[1]"), "Error: {path} line 1: expected a JSON object"),
+    "fingerprint-cwe-not-a-string": (
+        lambda d: _bad_fingerprint_lines(d, '{"exploit_id": 0, "cwe_id": 79, "label": "x"}'),
+        "Error: {path} line 1: cwe_id and label must be strings"),
+    "graph-invalid-json": (
+        lambda d: _bad_graph(d, "{bad"),
+        "Error: {path} line 1: invalid JSON: Expecting property name enclosed in double "
+        "quotes: line 1 column 2 (char 1)"),
+    "graph-not-an-object": (
+        lambda d: _bad_graph(d, "[1]"), "Error: {path} line 1: expected a JSON object"),
+    "graph-node-id-not-an-integer": (
+        lambda d: _bad_graph(d, '{"node": "1", "kind": "entry"}'),
+        "Error: {path} line 1: node id must be an integer"),
+    "graph-call-not-an-object": (
+        lambda d: _bad_graph(d, '{"node": 1, "kind": "statement", "call": [1]}'),
+        "Error: {path} line 1: node call payload must be an object"),
+    "graph-edge-not-a-pair": (
+        lambda d: _bad_graph(d, '{"node": 1, "kind": "entry"}', '{"edge": [1], "label": "data"}'),
+        "Error: {path} line 2: edge must be a [src, dst] integer pair"),
+    "graph-extra-edge-key": (
+        lambda d: _bad_graph(d, '{"node": 1, "kind": "entry"}',
+                             '{"edge": [1, 1], "label": "data", "weight": 2}'),
+        "Error: {path} line 2: unexpected edge key(s): ['weight']"),
+    "graph-matches-no-fingerprint": (
+        lambda d: _bad_graph(d, '{"node": 1, "kind": "entry"}'),
+        "Error: no fingerprint matched any flow in the graph"),
+    "model-format-version-2": (
+        lambda d: _bad_model(d, _model_header(151, 150, 100, 79, version=2)),
+        "Error: {path}: unsupported format version 2"),
+    "model-activation-ids": (
+        lambda d: _bad_model(d, _model_header(151, 150, 100, 79, activations=(3, 2))),
+        "Error: {path}: unknown activation ids (3, 2)"),
+    "labels-one-line-short": (
+        _short_labels, "Error: {path}: 3 calls but 2 label lines"),
+    "split-without-traces": (_empty_split, "Error: no traces found under {path}"),
+    "eval-without-predictions": (
+        _eval_without_predictions, "Error: a model file is required (--model)"),
 }
 
 
@@ -575,6 +689,20 @@ def test_input_fault_error_line(case, tmp_path, capsys):
     argv, path = build(tmp_path)
     assert main(argv) == 1
     assert _one_error_line(capsys.readouterr().err) == error.format(path=path)
+
+
+@pytest.mark.parametrize("text, fault", [
+    ("{bad", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("[]", "expected a JSON object"),
+])
+def test_config_fault_is_a_usage_error(text, fault, tmp_path, capsys):
+    """A --config file that holds no JSON object is refused as the flag's bad value."""
+    argv, path = _bad_config(tmp_path, text)
+    assert main(argv) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("Error")]
+    assert errors == [
+        f"Error: Invalid value for '--config' (env var: 'CHAINWATCH_CONFIG'): {path}: {fault}"
+    ]
 
 
 class TestNotUtf8:
@@ -802,11 +930,12 @@ class TestBench:
         assert "comparison ratio (naive/engine): n/a   latency ratio: n/a" in out
 
 
-def _without_inputs(flag, tmp_path):
-    """The command that takes ``flag`` with its other required options, every
-    input a file that does not exist and any output under ``tmp_path / "out"``."""
+def _without_inputs(flag, tmp_path, command=None):
+    """``command``, by default the one that takes ``flag``, with its other required
+    options, every input a file that does not exist and any output under
+    ``tmp_path / "out"``."""
     missing, out = str(tmp_path / "missing"), str(tmp_path / "out")
-    command = {
+    command = command or {
         "--threshold-classify": "eval", "--threshold-cosine": "detect",
         "--lr": "train", "--epochs": "train", "--batch-size": "train",
         "--split": "gen-dataset", "--benign-ratio": "gen-dataset",
@@ -866,6 +995,51 @@ def test_filler_rate_above_the_bound_names_the_flag(value, tmp_path, capsys):
     """Unchecked, 1e30 failed in NumPy's Poisson draw after the graph was mined."""
     rc = main([*_without_inputs("--filler-rate", tmp_path), "--filler-rate", value])
     _assert_refused_as_usage(rc, "--filler-rate", tmp_path, capsys)
+
+
+@pytest.mark.parametrize("via", ("flag", "config"))
+@pytest.mark.parametrize("command, seed", [("gen-dataset", -1), ("train", -1), ("train", 2**64)])
+def test_seed_out_of_range_names_the_flag(command, seed, via, tmp_path, capsys):
+    """Unchecked, -1 failed after the inputs were read with an error that named
+    no flag, and train wrote 2**64 + 1 into the model file's u64 field as 1."""
+    args = _without_inputs("--seed", tmp_path, command)
+    if via == "flag":
+        args += ["--seed", str(seed)]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": seed}))
+        args += ["--config", str(config)]
+    _assert_refused_as_usage(main(args), "--seed", tmp_path, capsys)
+
+
+def test_gen_dataset_takes_a_seed_past_u64(tmp_path, capsys):
+    """NumPy seeds from any integer >= 0, and the manifest is JSON."""
+    seed = 2**64
+    argv = _gen_dataset(tmp_path, FIXTURES / "sqlinj.fp", FIXTURES / "sqlinj.sdg")
+    assert main([*argv, "--seed", str(seed)]) == 0
+    assert read_manifest(tmp_path / "corpus")["seed"] == seed
+
+
+def test_train_writes_the_largest_seed(cli_corpus, tmp_path, capsys):
+    out = tmp_path / "m.cwm"
+    seed = 2**64 - 1
+    assert main(["train", "--corpus", str(cli_corpus), "--epochs", "1", "--seed", str(seed),
+                 "--out", str(out)]) == 0
+    assert _last_json(capsys.readouterr().out)["seed"] == load_model(out).seed == seed
+
+
+def test_diverged_training_exit_1_writes_no_model(cli_corpus, tmp_path, capsys):
+    """It printed "final_loss": NaN, which is not JSON, and wrote a model that
+    no loader accepts."""
+    out = tmp_path / "m.cwm"
+    rc = main(["train", "--corpus", str(cli_corpus), "--lr", "1e300", "--epochs", "2",
+               "--out", str(out)])
+    assert rc == 1
+    assert _one_error_line(capsys.readouterr().err) == (
+        "Error: training diverged at learning rate 1e+300: "
+        "the final loss or a parameter is not finite"
+    )
+    assert not out.exists()
 
 
 def test_usage_error_exit_1(capsys):

@@ -97,6 +97,11 @@ def test_hash_embed_deterministic_and_distinct():
         hash_embed("alpha")[0] = 9.0  # read-only
 
 
+def test_embedding_rows_must_have_ten_components():
+    with pytest.raises(EmbeddingError, match=r"^token 'tok': expected 10 components$"):
+        EmbeddingTable({"tok": np.zeros(EMBED_DIM - 1)})
+
+
 def test_io_counts_multiplicity(encoder, vocabs):
     """Repeated I/O types add up: three of one type and one of another."""
     a, b = vocabs.io_types[:2]

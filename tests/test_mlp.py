@@ -545,7 +545,48 @@ def test_train_config_refuses_a_non_finite_learning_rate(rate):
         TrainConfig(learning_rate=rate)
 
 
+@pytest.mark.parametrize("seed", (-1, 2**64))
+def test_seed_outside_the_model_files_u64_field_refused(seed):
+    """save_model masked such a seed to u64, so the file held another one."""
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64 - 1\]"):
+        TrainConfig(seed=seed)
+    good = init_model(0)
+    with pytest.raises(ValueError, match="seed must lie in"):
+        MlpModel(*(arr for _, arr in good.tensors()), seed=seed)
+
+
+def _small_set():
+    rng = np.random.default_rng(77)
+    return rng.standard_normal((40, 151)), (rng.random((40, 79)) < 0.1).astype(float)
+
+
+def test_diverged_training_raises_naming_the_learning_rate():
+    with pytest.raises(ValueError, match=r"^training diverged at learning rate 1e\+300: "):
+        train(*_small_set(), TrainConfig(learning_rate=1e300, epochs=2))
+
+
+def test_a_non_finite_parameter_fails_training_whose_loss_is_finite(monkeypatch):
+    """b1 at -inf is clipped away by the relu, so the loss alone stays finite."""
+    real = mlp.loss_and_grads
+
+    def pushed(model, x, t):
+        loss, grads = real(model, x, t)
+        grads["b1"][:] = np.inf
+        return loss, grads
+
+    monkeypatch.setattr(mlp, "loss_and_grads", pushed)
+    with pytest.raises(ValueError, match="training diverged at learning rate 0.05"):
+        train(*_small_set(), TrainConfig(epochs=1))
+
+
 class TestModelFile:
+    def test_largest_seed_round_trips(self, tmp_path):
+        m = init_model(seed=mlp.MAX_SEED)
+        p = tmp_path / "m.cwmlp"
+        save_model(m, p)
+        assert load_model(p).seed == 2**64 - 1
+        assert load_model(p) == m
+
     def test_round_trip(self, tmp_path):
         m = init_model(seed=99)
         p = tmp_path / "m.cwmlp"

@@ -73,3 +73,24 @@ def test_one_ulp_in_a_loss_changes_train_digest(output_digest):
     assert output_digest.train_digest(model, report([0.5, moved])) != base
     final_moved = dataclasses.replace(report([0.5, 0.375]), final_loss=float(np.nextafter(0.25, 0.0)))
     assert output_digest.train_digest(model, final_moved) != base
+
+
+def test_a_new_field_leaves_the_recorded_lines(output_digest):
+    """A counter added to a record gets its own line; the recorded one keeps its hash."""
+    base = output_digest.digest([_result(_alarms())])
+    assert output_digest.new_fields_digest([_result(_alarms())]) is None
+
+    wider = dataclasses.make_dataclass(
+        "SessionSummary", [("recall", float, dataclasses.field(default=0.5))],
+        bases=(SessionSummary,),
+    )
+    result = _result(_alarms())
+    narrow = result.summary
+    result.summary = wider(**dataclasses.asdict(narrow))
+    assert output_digest._record(result.summary) == output_digest._record(narrow)
+    assert output_digest.digest([result]) == base
+    names, hexdigest = output_digest.new_fields_digest([result])
+    assert names == ["SessionSummary.recall"]
+    result.summary.recall = 0.25
+    assert output_digest.new_fields_digest([result]) != (names, hexdigest)
+    assert output_digest.digest([result]) == base

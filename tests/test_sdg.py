@@ -12,7 +12,6 @@ import pytest
 
 from chainwatch.fingerprints import FingerprintDb
 from chainwatch.sdg import (
-    FLOW_LABELS,
     SdgError,
     SdgNode,
     VulnQuery,
@@ -248,6 +247,14 @@ def test_no_match_when_unreachable():
     assert match_query(sdg, VulnQuery(0, sources=(src,), sinks=(snk,))) == []
 
 
+def test_no_match_without_a_source_or_a_sink_node():
+    src, snk = _call("src"), _call("snk")
+    query = VulnQuery(0, sources=(src,), sinks=(snk,))
+    for present in (src, snk):
+        sdg = _mk_sdg([SdgNode(1, "statement", present)], [(1, 1, "data")])
+        assert match_query_detailed(sdg, query) == []
+
+
 def test_matches_brute_force_oracle():
     """Randomized graphs: production minimal paths agree with exhaustive search."""
     pool = [_call(f"api{chr(97 + i)}") for i in range(6)]
@@ -272,10 +279,11 @@ def test_matches_brute_force_oracle():
     assert nonempty >= 10  # exercise must not be vacuous
 
 
-def test_out_edges_filters_by_label(vocabs):
+def test_flow_successors_skip_control_edges(vocabs):
     sdg = load_sdg(FIXTURES / "sqlinj.sdg", vocabs)
-    adj = sdg.out_edges(FLOW_LABELS)
+    adj = sdg.flow_successors
     assert adj[2] == [3, 6]  # data + call, control excluded
-    assert adj[6] == []
-    only_control = sdg.out_edges(frozenset({"control"}))
-    assert only_control[6] == [5]
+    assert adj[6] == []  # its one edge, to 5, is control
+    assert (6, 5, "control") in sdg.edges
+    assert set(adj) == set(sdg.nodes)
+    assert sdg.flow_successors is adj  # built once per graph
