@@ -75,20 +75,30 @@ class _FiniteRange(click.FloatRange):
 
 
 def _refuse_to_overwrite(out: str | None, embeddings: str | None, vocab_dir: str | None,
-                         inputs: dict[str, str | None], out_flag: str = "--out") -> None:
+                         inputs: list[tuple[str, str | Path | None]],
+                         out_flag: str = "--out") -> None:
     """Stop before anything is written when ``out``, given with ``out_flag``, is
     a file the command reads: the embedding table and vocabulary files, given or
-    bundled, or one of ``inputs`` (each keyed by the argument or flag that gave it)."""
+    bundled, or one of ``inputs``, ``(flag, path)`` pairs that name the argument
+    or flag that gave each path."""
     if out in (None, "-") or not os.path.exists(out):
         return
     read = [("--embeddings", embeddings if embeddings is not None else default_embedding_path())]
     read += [("--vocab-dir", path) for path in vocabulary_files(vocab_dir)]
-    read += inputs.items()
+    read += inputs
     for flag, path in read:
         if path not in (None, "-") and os.path.exists(path) and os.path.samefile(out, path):
             raise click.ClickException(
                 f"{out_flag} {out} is the {flag} input; refusing to overwrite it"
             )
+
+
+def _not_stdout(ctx: click.Context, param: click.Parameter, value: str | None) -> str | None:
+    if value == "-":
+        raise click.BadParameter(
+            "'-' is not a file; the summary is already the last line of stdout", ctx, param
+        )
+    return value
 
 
 def _read_trace(path: str, encoder: FeatureEncoder):
@@ -161,7 +171,7 @@ def encode(trace, embeddings, vocab_dir, out):
 
     One line per record: 151 decimal floats, space separated.
     """
-    _refuse_to_overwrite(out, embeddings, vocab_dir, {"TRACE": trace})
+    _refuse_to_overwrite(out, embeddings, vocab_dir, [("TRACE", trace)])
     encoder = FeatureEncoder.from_paths(embeddings, vocab_dir)
     parsed = _read_trace(trace, encoder)
     with click.open_file(out, "w") as sink:
@@ -187,7 +197,7 @@ def encode(trace, embeddings, vocab_dir, out):
 def train(seed, embeddings, vocab_dir, corpus, out, epochs, lr, batch_size):
     """Train the classifier on a corpus directory's train split."""
     _refuse_to_overwrite(out, embeddings, vocab_dir,
-                         {"--corpus": str(Path(corpus) / corpus_mod.MANIFEST_NAME)})
+                         [("--corpus", path) for path in corpus_mod.split_files(corpus, "train")])
     encoder = FeatureEncoder.from_paths(embeddings, vocab_dir)
     train_cfg = mlp.TrainConfig(learning_rate=lr, epochs=epochs, batch_size=batch_size, seed=seed)
     items = corpus_mod.load_split(corpus, "train", encoder.vocabs)
@@ -235,10 +245,10 @@ def _scan_options(*classifier_opts):
 def _scan(ctx, trace, embeddings, vocab_dir, fingerprints, whitelist, threshold_cosine,
           halt_on_alarm, out, model=None, threshold_classify=DEFAULT_CLASSIFY_THRESHOLD):
     """The body of both detection commands; without ``model``, the naive scan."""
-    _refuse_to_overwrite(out, embeddings, vocab_dir, {
-        "TRACE": trace, "--model": model, "--fingerprints": fingerprints,
-        "--whitelist": whitelist,
-    })
+    _refuse_to_overwrite(out, embeddings, vocab_dir, [
+        ("TRACE", trace), ("--model", model), ("--fingerprints", fingerprints),
+        ("--whitelist", whitelist),
+    ])
     encoder = FeatureEncoder.from_paths(embeddings, vocab_dir)
     db = load_fingerprints(fingerprints, encoder)
     wl = WhiteList.from_file(whitelist)
@@ -402,13 +412,15 @@ def eval_cmd(embeddings, vocab_dir, fingerprints, model, corpus, split_name, pre
 @click.option("--repetitions", type=click.IntRange(min=1), default=3, help="Measured passes.")
 @click.option("--max-traces", type=click.IntRange(min=1),
               help="Cap the number of traces benchmarked.")
-@click.option("--json-out", help="Also write the full report as JSON.")
+@click.option("--json-out", callback=_not_stdout,
+              help="Also write the full report as JSON to this file.")
 def bench_cmd(embeddings, vocab_dir, fingerprints, whitelist, model, corpus, split_name,
               repetitions, max_traces, json_out):
     """Time detect and detect-naive over the scored calls of a corpus split."""
-    _refuse_to_overwrite(json_out, embeddings, vocab_dir, {
-        "--model": model, "--fingerprints": fingerprints, "--whitelist": whitelist,
-    }, "--json-out")
+    _refuse_to_overwrite(json_out, embeddings, vocab_dir, [
+        ("--model", model), ("--fingerprints", fingerprints), ("--whitelist", whitelist),
+        *(("--corpus", path) for path in corpus_mod.split_files(corpus, split_name)),
+    ], "--json-out")
     encoder = FeatureEncoder.from_paths(embeddings, vocab_dir)
     db = load_fingerprints(fingerprints, encoder)
     wl = WhiteList.from_file(whitelist)

@@ -257,6 +257,20 @@ def _label_set(line: str, path: Path, lineno: int) -> frozenset[int]:
     return labels
 
 
+def split_files(corpus_dir: str | Path, split_name: str) -> list[Path]:
+    """The files :func:`load_split` reads: the manifest, then each trace of
+    the split and its ``.labels`` file, in the order it reads them."""
+    corpus_dir = Path(corpus_dir)
+    files = [corpus_dir / MANIFEST_NAME]
+    for trace_path in _trace_paths(corpus_dir / split_name):
+        files += [trace_path, trace_path.with_suffix(".labels")]
+    return files
+
+
+def _trace_paths(split_dir: Path) -> list[Path]:
+    return sorted(split_dir.glob("trace_*.jsonl"))
+
+
 def load_split(
     corpus_dir: str | Path,
     split_name: str,
@@ -279,7 +293,7 @@ def load_split(
     calls: dict[str, InstructionCall] = {}
     labels: dict[str, frozenset[int]] = {}
     items = []
-    for trace_path in sorted(sub.glob("trace_*.jsonl")):
+    for trace_path in _trace_paths(sub):
         key = f"{split_name}/{trace_path.stem}"
         with open_text(trace_path) as fh:
             trace = read_trace(fh, vocabs, source_id=key, memo=calls)

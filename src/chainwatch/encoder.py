@@ -45,6 +45,10 @@ PACKAGE_SLICE = slice(SCOPE_SLICE.stop, SCOPE_SLICE.stop + N_PACKAGES)
 INPUT_SLICE = slice(PACKAGE_SLICE.stop, PACKAGE_SLICE.stop + N_IO_TYPES)
 OUTPUT_SLICE = slice(INPUT_SLICE.stop, INPUT_SLICE.stop + N_IO_TYPES)
 VECTOR_DIM = OUTPUT_SLICE.stop  # 151
+_NAME_BLOCKS = tuple(slice(i * EMBED_DIM, (i + 1) * EMBED_DIM) for i in range(MAX_TOKENS))
+_CATEGORY_AT, _SCOPE_AT, _PACKAGE_AT, _INPUT_AT, _OUTPUT_AT = (
+    block.start for block in (CATEGORY_SLICE, SCOPE_SLICE, PACKAGE_SLICE, INPUT_SLICE, OUTPUT_SLICE)
+)
 
 # Letter runs only: camelCase boundaries split, underscores and digits act as
 # separators and are dropped.
@@ -155,14 +159,16 @@ class FeatureEncoder:
         add 1.0 per item, which is exact for integer counts.
         """
         x = np.zeros(VECTOR_DIM, dtype=np.float64)
-        for i, token in enumerate(tokenize_api_name(call.api_name)):
-            x[i * EMBED_DIM : (i + 1) * EMBED_DIM] = self.table.lookup(token)
-        x[CATEGORY_SLICE.start + CATEGORY_INDEX[call.category]] = 1.0
-        x[SCOPE_SLICE.start + SCOPE_INDEX[call.scope]] = 1.0
-        x[PACKAGE_SLICE.start + self.vocabs.package_index[call.package]] = 1.0
-        io_index = self.vocabs.io_type_index
+        lookup = self.table.lookup
+        for block, token in zip(_NAME_BLOCKS, tokenize_api_name(call.api_name)):
+            x[block] = lookup(token)
+        x[_CATEGORY_AT + CATEGORY_INDEX[call.category]] = 1.0
+        x[_SCOPE_AT + SCOPE_INDEX[call.scope]] = 1.0
+        vocabs = self.vocabs
+        x[_PACKAGE_AT + vocabs.package_index[call.package]] = 1.0
+        io_index = vocabs.io_type_index
         for item in call.inputs:
-            x[INPUT_SLICE.start + io_index[item]] += 1.0
+            x[_INPUT_AT + io_index[item]] += 1.0
         for item in call.outputs:
-            x[OUTPUT_SLICE.start + io_index[item]] += 1.0
+            x[_OUTPUT_AT + io_index[item]] += 1.0
         return x

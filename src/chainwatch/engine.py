@@ -113,32 +113,29 @@ def run_detection(
     """
     tid = trace.source_id if isinstance(trace, Trace) else "<calls>"
 
-    summary = SessionSummary(trace_id=tid)
     alarms: list[AlarmRecord] = []
     alarm = EventKind.ALARM
     every = table.db.exploit_set
-
+    encode = encoder.encode
+    step = table.step
+    threshold = config.threshold_cosine
+    halt = config.halt_on_alarm
+    # The counters live in locals and go into the summary once, after the loop.
+    whitelisted = steps = comparisons = advanced = 0
+    offset = -1
     for offset, call in enumerate(trace):
-        summary.total_calls += 1
         if call.api_name in whitelist:
-            summary.whitelisted_calls += 1
+            whitelisted += 1
             continue
-        x = encoder.encode(call)
-        summary.encoded_calls += 1
-        if candidate_fn is None:
-            candidates = every
-        else:
-            summary.classifier_invocations += 1
-            candidates = candidate_fn(x)
+        x = encode(call)
+        candidates = every if candidate_fn is None else candidate_fn(x)
         if not candidates:
             continue
-        matched = table.step(candidates, x, offset, threshold=config.threshold_cosine)
-        summary.monitor_steps += 1
-        summary.comparisons += len(candidates)
-        summary.no_match_events += len(candidates) - len(matched)
+        matched = step(candidates, x, offset, threshold=threshold)
+        steps += 1
+        comparisons += len(candidates)
         for event in matched:
             if event.kind is alarm:
-                summary.alarms += 1
                 alarms.append(
                     AlarmRecord(
                         trace_id=tid,
@@ -149,11 +146,25 @@ def run_detection(
                     )
                 )
             else:
-                summary.advanced_events += 1
-        if config.halt_on_alarm and summary.alarms:
-            summary.halted = True
+                advanced += 1
+        if halt and alarms:
             break
 
+    # Every call not white-listed is encoded, and nominated unless naive.
+    encoded = offset + 1 - whitelisted
+    summary = SessionSummary(
+        trace_id=tid,
+        total_calls=offset + 1,
+        whitelisted_calls=whitelisted,
+        encoded_calls=encoded,
+        classifier_invocations=0 if candidate_fn is None else encoded,
+        monitor_steps=steps,
+        comparisons=comparisons,
+        advanced_events=advanced,
+        no_match_events=comparisons - advanced - len(alarms),
+        alarms=len(alarms),
+        halted=bool(halt and alarms),
+    )
     return DetectionResult(alarms=alarms, summary=summary)
 
 

@@ -95,14 +95,23 @@ def _sigmoid_stable(z: np.ndarray) -> np.ndarray:
 def _layers(model: MlpModel, x: np.ndarray):
     """``(h1, h2, z)``: both relu layers' outputs and the logits.  Each layer
     adds its bias and clips in place on the product's fresh array, bit-equal
-    to the out-of-place ``x @ w.T + b`` and ``np.maximum(., 0.0)``."""
-    h1 = x @ model.w1.T
+    to the out-of-place ``x @ w.T + b`` and ``np.maximum(., 0.0)``.
+
+    One row (``x.ndim == 1``) takes ``w.dot(x)``: one gemv over ``w`` as
+    stored, called straight from ``dot``, where ``@`` is a generalized ufunc
+    and pays its dispatch on every call, a fixed cost that a single row
+    feels.  A batch takes ``x @ w.T``, one gemm, which trains faster than
+    ``x.dot(w.T)``.  On a single row the two forms give the same bits (the
+    tests check it against the ``x @ w.T`` chain).
+    """
+    one_row = x.ndim == 1
+    h1 = model.w1.dot(x) if one_row else x @ model.w1.T
     h1 += model.b1
     np.maximum(h1, 0.0, out=h1)
-    h2 = h1 @ model.w2.T
+    h2 = model.w2.dot(h1) if one_row else h1 @ model.w2.T
     h2 += model.b2
     np.maximum(h2, 0.0, out=h2)
-    z = h2 @ model.w3.T
+    z = model.w3.dot(h2) if one_row else h2 @ model.w3.T
     z += model.b3
     return h1, h2, z
 
@@ -177,13 +186,13 @@ def nominator(model: MlpModel, threshold: float):
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"classification threshold must lie in (0, 1), got {threshold}")
     cut, upper_cut = logit_cuts(threshold)
+    one_call = (LAYER_SIZES[0],)
 
     def nominate(x: np.ndarray) -> frozenset[int]:
-        z = logits(model, x)
-        if z.ndim != 1:
-            raise ValueError(
-                f"nominate takes one call of shape ({LAYER_SIZES[0]},), got {np.shape(x)}"
-            )
+        if x.shape != one_call:
+            logits(model, x)  # raises for any shape it does not take either
+            raise ValueError(f"nominate takes one call of shape {one_call}, got {np.shape(x)}")
+        z = _layers(model, x)[2]
         if z.max() < cut:
             return _NO_LABELS
         sure = np.flatnonzero(z >= upper_cut)

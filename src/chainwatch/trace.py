@@ -11,11 +11,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import IO, Iterable, Iterator
 
 from .vocab import CATEGORY_INDEX, SCOPE_INDEX, WHITESPACE, Vocabularies, numbered_lines
 
 RECORD_FIELDS = ("api_name", "category", "scope", "package", "inputs", "outputs")
+_FIELD_SET = frozenset(RECORD_FIELDS)
+_field_values = itemgetter(*RECORD_FIELDS)
+_DECODER = json.JSONDecoder()
 
 
 class TraceError(ValueError):
@@ -23,7 +27,7 @@ class TraceError(ValueError):
     ``read_trace`` prefixes the message with ``<source> line <n>:``."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InstructionCall:
     """One observed API/instruction call.
 
@@ -57,52 +61,74 @@ class Trace:
         return iter(self.calls)
 
 
-def _require_str(obj: dict, key: str) -> str:
-    value = obj[key]
-    if not isinstance(value, str):
-        raise TraceError(f"field {key!r} must be a string, got {type(value).__name__}")
-    return value
-
-
-def _require_str_list(obj: dict, key: str) -> list[str]:
-    value = obj[key]
-    if not isinstance(value, list) or any(not isinstance(v, str) for v in value):
-        raise TraceError(f"field {key!r} must be an array of strings")
-    return value
-
-
 def parse_trace_record(line: str, vocabs: Vocabularies) -> InstructionCall:
-    """Parse one record line, validating every field against the vocabularies."""
+    """Parse one record line, validating every field against the vocabularies.
+
+    The line is decoded once, by the scanner ``json.loads`` runs, and the
+    value is kept when it spans the whole line.  Anything else (a decode
+    error, extra data, whitespace around the value, a BOM, bytes) goes
+    through ``json.loads`` itself, so the line is accepted exactly when
+    ``json.loads`` accepts it, and refused with its message; only that path
+    decodes twice.
+    """
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise TraceError(f"invalid JSON: {exc}") from exc
+        obj, end = _DECODER.raw_decode(line)
+    except (json.JSONDecodeError, TypeError):
+        end = -1
+    if end != len(line):
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise TraceError(f"invalid JSON: {exc}") from exc
     return call_from_record(obj, vocabs)
+
+
+def _not_a_string(key: str, value: object) -> TraceError:
+    return TraceError(f"field {key!r} must be a string, got {type(value).__name__}")
+
+
+def _not_a_string_list(key: str) -> TraceError:
+    return TraceError(f"field {key!r} must be an array of strings")
 
 
 def call_from_record(obj: object, vocabs: Vocabularies) -> InstructionCall:
     """Validate one decoded record against the vocabularies and build its call.
+
+    The checks run in a fixed order and the first that fails raises: the
+    fields present (missing ones first), the type of each field in
+    ``RECORD_FIELDS`` order (and whitespace in ``api_name`` right after its
+    type), then category, scope, package and every I/O type, inputs first,
+    against the vocabularies.
 
     For readers that have already decoded the JSON, such as the fingerprint
     and graph loaders, which carry records inside their own lines.
     """
     if not isinstance(obj, dict):
         raise TraceError("record must be a JSON object")
-    missing = [k for k in RECORD_FIELDS if k not in obj]
-    if missing:
-        raise TraceError(f"missing field(s): {', '.join(missing)}")
-    extra = [k for k in obj if k not in RECORD_FIELDS]
-    if extra:
-        raise TraceError(f"unexpected field(s): {', '.join(sorted(extra))}")
+    if obj.keys() != _FIELD_SET:
+        missing = [k for k in RECORD_FIELDS if k not in obj]
+        if missing:
+            raise TraceError(f"missing field(s): {', '.join(missing)}")
+        extra = sorted(k for k in obj if k not in _FIELD_SET)
+        raise TraceError(f"unexpected field(s): {', '.join(extra)}")
 
-    api_name = _require_str(obj, "api_name")
+    api_name, category, scope, package, inputs, outputs = _field_values(obj)
+    if not isinstance(api_name, str):
+        raise _not_a_string("api_name", api_name)
     if WHITESPACE.search(api_name):
         raise TraceError(f"api_name contains whitespace: {api_name!r}")
-    category = _require_str(obj, "category")
-    scope = _require_str(obj, "scope")
-    package = _require_str(obj, "package")
-    inputs = _require_str_list(obj, "inputs")
-    outputs = _require_str_list(obj, "outputs")
+    if not isinstance(category, str):
+        raise _not_a_string("category", category)
+    if not isinstance(scope, str):
+        raise _not_a_string("scope", scope)
+    if not isinstance(package, str):
+        raise _not_a_string("package", package)
+    for key, items in (("inputs", inputs), ("outputs", outputs)):
+        if not isinstance(items, list):
+            raise _not_a_string_list(key)
+        for item in items:
+            if not isinstance(item, str):
+                raise _not_a_string_list(key)
 
     if category not in CATEGORY_INDEX:
         raise TraceError(f"unknown category: {category!r}")
@@ -110,18 +136,13 @@ def call_from_record(obj: object, vocabs: Vocabularies) -> InstructionCall:
         raise TraceError(f"unknown scope: {scope!r}")
     if package not in vocabs.package_index:
         raise TraceError(f"unknown package: {package!r}")
-    for io_type in (*inputs, *outputs):
-        if io_type not in vocabs.io_type_index:
-            raise TraceError(f"unknown io-type: {io_type!r}")
+    io_index = vocabs.io_type_index
+    for items in (inputs, outputs):
+        for io_type in items:
+            if io_type not in io_index:
+                raise TraceError(f"unknown io-type: {io_type!r}")
 
-    return InstructionCall(
-        api_name=api_name,
-        category=category,
-        scope=scope,
-        package=package,
-        inputs=tuple(inputs),
-        outputs=tuple(outputs),
-    )
+    return InstructionCall(api_name, category, scope, package, inputs, outputs)
 
 
 def serialize_trace_record(call: InstructionCall) -> str:
@@ -148,6 +169,13 @@ def read_trace(
     memo: dict[str, InstructionCall] | None = None,
 ) -> Trace:
     """Read a full trace, failing on the first bad record with its line number.
+
+    Each line is stripped and goes through this module's
+    ``parse_trace_record``, looked up at each call, so a wrapper put there
+    sees every line parsed.  The first line it refuses ends the read: its
+    ``TraceError`` is re-raised with ``<source_id> line <n>: `` in front of
+    the message.  A line that is not one whole JSON value is decoded twice,
+    the second time by ``json.loads`` for its message; every other line once.
 
     ``memo`` maps stripped record lines to their calls.  With one, a line
     already in it reuses its call, and only other lines go through

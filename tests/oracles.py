@@ -199,10 +199,16 @@ def reference_bce_loss(y: np.ndarray, t: np.ndarray) -> float:
     return float(-np.mean(t * np.log(y) + (1.0 - t) * np.log(1.0 - y)))
 
 
-def _reference_forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
+def reference_logits(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    """The logits as the ``x @ w.T`` chain, one out-of-place expression per
+    layer, for one row of shape (151,) or a batch of shape (n, 151)."""
     h1 = np.maximum(x @ model.w1.T + model.b1, 0.0)
     h2 = np.maximum(h1 @ model.w2.T + model.b2, 0.0)
-    return reference_sigmoid(h2 @ model.w3.T + model.b3)
+    return h2 @ model.w3.T + model.b3
+
+
+def _reference_forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    return reference_sigmoid(reference_logits(model, x))
 
 
 def reference_train(x: np.ndarray, t: np.ndarray, config):

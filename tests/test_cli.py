@@ -366,10 +366,42 @@ class TestOutNeverAnInput:
         )
         assert out.read_bytes() == before
 
+    @pytest.mark.parametrize("name", ("corpus.json", "train/trace_00000.jsonl",
+                                      "train/trace_00003.labels"))
+    def test_train_out_is_a_file_of_the_split(self, cli_corpus, tmp_path, capsys, name):
+        """--out on a trace or labels file exited 0, and every later train on the
+        corpus failed with "not valid UTF-8"."""
+        corpus = tmp_path / "corpus"
+        shutil.copytree(cli_corpus, corpus)
+        out = corpus / name
+        before = out.read_bytes()
+        rc = main(["train", "--corpus", str(corpus), "--epochs", "1", "--out", str(out)])
+        assert rc == 1
+        assert _one_error_line(capsys.readouterr().err) == (
+            f"Error: --out {out} is the --corpus input; refusing to overwrite it"
+        )
+        assert out.read_bytes() == before
+
+    def test_bench_json_out_is_a_trace_of_the_split(self, cli_corpus, cli_model, world_files,
+                                                    tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(cli_corpus, corpus)
+        out = sorted((corpus / "test").glob("trace_*.jsonl"))[-1]
+        before = out.read_bytes()
+        rc = main([
+            "bench", "--corpus", str(corpus), "--model", str(cli_model),
+            "--fingerprints", str(world_files["fingerprints"]), "--json-out", str(out),
+        ])
+        assert rc == 1
+        assert _one_error_line(capsys.readouterr().err) == (
+            f"Error: --json-out {out} is the --corpus input; refusing to overwrite it"
+        )
+        assert out.read_bytes() == before
+
     def test_bundled_embeddings_count_as_an_input(self):
         # called directly: the check writes nothing, so the bundled file is safe
         with pytest.raises(ClickException, match="--embeddings"):
-            _refuse_to_overwrite(str(default_embedding_path()), None, None, {})
+            _refuse_to_overwrite(str(default_embedding_path()), None, None, [])
 
 
 def test_help_shows_env_vars(capsys):
@@ -1010,6 +1042,14 @@ def test_seed_out_of_range_names_the_flag(command, seed, via, tmp_path, capsys):
         config.write_text(json.dumps({"seed": seed}))
         args += ["--config", str(config)]
     _assert_refused_as_usage(main(args), "--seed", tmp_path, capsys)
+
+
+def test_bench_json_out_dash_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    """'-' wrote a file named '-'; stdout already ends with the summary line."""
+    monkeypatch.chdir(tmp_path)
+    rc = main([*_without_inputs("--repetitions", tmp_path), "--json-out", "-"])
+    _assert_refused_as_usage(rc, "--json-out", tmp_path, capsys)
+    assert not (tmp_path / "-").exists()
 
 
 def test_gen_dataset_takes_a_seed_past_u64(tmp_path, capsys):

@@ -6,9 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from chainwatch.encoder import FeatureEncoder
 from chainwatch.engine import (
     AlarmRecord,
     EngineConfig,
+    SessionSummary,
     classifier_candidates,
     detect,
     detect_naive,
@@ -275,3 +277,85 @@ def test_heap_stays_flat_over_a_call_stream(naive, encoder):
 
     run(200)  # first-call allocations stay out of both peaks
     assert peak(8000) <= peak(4000) + 64 * 1024
+
+
+class _CountingCandidates:
+    """A candidate function that nominates every stored exploit and counts its calls."""
+
+    def __init__(self, db):
+        self.every = db.exploit_set
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.every
+
+
+@pytest.mark.parametrize("naive", (True, False))
+def test_summary_of_an_empty_trace(sql_db, encoder, naive):
+    nominate = None if naive else _CountingCandidates(sql_db)
+    result = run_detection(Trace("e", []), encoder, WhiteList(), StateTable(sql_db), nominate,
+                           EngineConfig(halt_on_alarm=True))
+    assert result.summary == SessionSummary(trace_id="e")
+    assert result.alarms == []
+
+
+@pytest.mark.parametrize("naive", (True, False))
+def test_summary_of_an_all_white_listed_trace(sql_db, encoder, recorded_steps, naive,
+                                              monkeypatch):
+    encoded = []
+    encode = FeatureEncoder.encode
+    monkeypatch.setattr(FeatureEncoder, "encode",
+                        lambda self, call: encoded.append(call) or encode(self, call))
+    templates = list(sql_db[0].templates)
+    wl = WhiteList({call.api_name for call in templates})
+    nominate = None if naive else _CountingCandidates(sql_db)
+    result = run_detection(Trace("w", templates * 2), encoder, wl, StateTable(sql_db), nominate,
+                           EngineConfig())
+    assert result.summary == SessionSummary(trace_id="w", total_calls=6, whitelisted_calls=6)
+    assert encoded == recorded_steps == []
+    assert nominate is None or nominate.calls == 0
+
+
+@pytest.mark.parametrize("naive", (True, False))
+@pytest.mark.parametrize("lead", (0, 1, 4))
+def test_halt_counts_calls_up_to_the_alarm(sql_db, encoder, naive, lead):
+    """Halting at the alarm on offset k counts k + 1 calls: the white-listed
+    ones, and the rest encoded and, unless naive, each nominated once."""
+    templates = list(sql_db[0].templates)
+    filler = dataclasses.replace(templates[0], api_name="flush")
+    calls = [filler] * lead + templates + templates
+    k = lead + len(templates) - 1
+    nominate = None if naive else _CountingCandidates(sql_db)
+    result = run_detection(Trace("h", calls), encoder, WhiteList(["flush"]), StateTable(sql_db),
+                           nominate, EngineConfig(halt_on_alarm=True))
+    s = result.summary
+    assert [a.offset for a in result.alarms] == [k]
+    assert s.halted
+    assert s.total_calls == k + 1
+    assert s.whitelisted_calls == lead
+    assert s.encoded_calls == len(templates)
+    assert s.classifier_invocations == (0 if naive else len(templates))
+    assert nominate is None or nominate.calls == len(templates)
+    assert s.monitor_steps == s.comparisons == len(templates)
+    assert (s.advanced_events, s.no_match_events, s.alarms) == (len(templates) - 1, 0, 1)
+
+
+def test_summary_counts_match_a_recount(small_world, small_db, encoder, whitelist,
+                                        recorded_steps):
+    """Every counter equals a recount of what the loop did on a mixed trace."""
+    calls = mixed_trace(small_world, np.random.default_rng(5), length=120, plant=3)
+    for nominate in (None, _CountingCandidates(small_db)):
+        recorded_steps.clear()
+        result = run_detection(Trace("m", calls), encoder, whitelist, StateTable(small_db),
+                               nominate, EngineConfig())
+        s = result.summary
+        scored = sum(call.api_name not in whitelist for call in calls)
+        assert s.alarms == len(result.alarms) > 0
+        assert (s.total_calls, s.whitelisted_calls, s.encoded_calls) == (
+            len(calls), len(calls) - scored, scored)
+        assert s.classifier_invocations == (0 if nominate is None else nominate.calls)
+        assert s.monitor_steps == len(recorded_steps)
+        assert s.comparisons == sum(n for _, n in recorded_steps)
+        assert s.advanced_events + s.no_match_events + s.alarms == s.comparisons
+        assert not s.halted

@@ -37,6 +37,7 @@ from chainwatch.mlp import (
 from .oracles import (
     grad_check,
     reference_bce_loss,
+    reference_logits,
     reference_loss_and_grads,
     reference_sigmoid,
     reference_train,
@@ -139,18 +140,61 @@ def _random_model(seed: int, scale: float) -> MlpModel:
     return MlpModel(*arrays)
 
 
-def _out_of_place_forward(m, x):
-    """The forward pass as one out-of-place expression per layer."""
-    h1 = np.maximum(x @ m.w1.T + m.b1, 0.0)
-    h2 = np.maximum(h1 @ m.w2.T + m.b2, 0.0)
-    return mlp._sigmoid_stable(h2 @ m.w3.T + m.b3)
-
-
 @pytest.mark.parametrize("shape", [(151,), (1, 151), (17, 151)])
 def test_forward_bit_equal_to_out_of_place_expression(shape):
     m = _random_model(5, 3.0)
     x = np.random.default_rng(6).standard_normal(shape)
-    assert forward(m, x).tobytes() == _out_of_place_forward(m, x).tobytes()
+    assert forward(m, x).tobytes() == mlp._sigmoid_stable(reference_logits(m, x)).tobytes()
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([0.1, 1.0, 4.0, 30.0]),
+    row=st.lists(
+        st.sampled_from([0.0, 1.0, 2.0, -1.0]) | st.floats(-1e3, 1e3),
+        min_size=LAYER_SIZES[0], max_size=LAYER_SIZES[0],
+    ),
+)
+def test_one_row_logits_bit_equal_to_the_matmul_chain(seed, scale, row):
+    """One row takes ``w.dot(x)``, and gives the bits of the ``x @ w.T`` chain;
+    rows mix encoder-like counts and one-hots with arbitrary floats."""
+    m = _random_model(seed, scale)
+    x = np.array(row)
+    assert mlp.logits(m, x).tobytes() == reference_logits(m, x).tobytes()
+
+
+class _CountingDot(np.ndarray):
+    """A weight array that counts calls of its ``dot`` method."""
+
+    dots = 0
+
+    def dot(self, *args, **kwargs):
+        _CountingDot.dots += 1
+        return np.asarray(self).dot(*args, **kwargs)
+
+
+@pytest.mark.parametrize("shape, dots", [((151,), 3), ((1, 151), 0), ((5, 151), 0)])
+def test_one_row_takes_gemv_and_a_batch_the_matmul(shape, dots, monkeypatch):
+    m = _random_model(7, 1.0)
+    x = np.random.default_rng(8).standard_normal(shape)
+    want = reference_logits(m, x)
+    monkeypatch.setattr(_CountingDot, "dots", 0)
+    for name in ("w1", "w2", "w3"):
+        setattr(m, name, getattr(m, name).view(_CountingDot))
+    assert np.asarray(mlp.logits(m, x)).tobytes() == want.tobytes()
+    assert _CountingDot.dots == dots
+
+
+@pytest.mark.parametrize("shape, message", [
+    ((150,), "expected input shape (151,) or (n, 151), got (150,)"),
+    ((2, 151), "nominate takes one call of shape (151,), got (2, 151)"),
+    ((1, 151), "nominate takes one call of shape (151,), got (1, 151)"),
+    ((), "expected input shape (151,) or (n, 151), got ()"),
+])
+def test_nominate_shape_errors(shape, message):
+    with pytest.raises(ValueError) as ei:
+        nominator(init_model(0), 0.5)(np.zeros(shape))
+    assert str(ei.value) == message
 
 
 SIGMOID_EDGES = [

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import re
@@ -187,3 +188,136 @@ def test_read_write_round_trip(vocabs):
 def test_trace_is_iterable(vocabs):
     trace = Trace("s", [parse_trace_record(GOOD_LINE, vocabs)])
     assert [c.api_name for c in trace] == ["readLine"]
+
+
+def _with(old: str, new: str) -> str:
+    assert old in GOOD_LINE
+    return GOOD_LINE.replace(old, new, 1)
+
+
+GOOD_CALL = InstructionCall(
+    "readLine", "invokevirtual", "Application", "Ljava/io/BufferedReader", (), ("String",)
+)
+
+# Each row: a line and what parsing it gives, a call or the exact TraceError
+# message, as recorded from the two-step parser (json.loads, then one check
+# per field) that the one-pass decode and check replaced.
+PARSE_TABLE = {
+    "bom": (
+        "\ufeff" + GOOD_LINE,
+        "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)",
+    ),
+    "trailing-x": (GOOD_LINE + "x", "invalid JSON: Extra data: line 1 column 142 (char 141)"),
+    "two-objects": (
+        GOOD_LINE + GOOD_LINE, "invalid JSON: Extra data: line 1 column 142 (char 141)"
+    ),
+    "two-objects-spaced": (
+        GOOD_LINE + " " + GOOD_LINE, "invalid JSON: Extra data: line 1 column 143 (char 142)"
+    ),
+    "leading-whitespace": (" \t" + GOOD_LINE, GOOD_CALL),
+    "trailing-whitespace": (GOOD_LINE + " \r", GOOD_CALL),
+    "inner-whitespace": (GOOD_LINE.replace(",", " ,\t"), GOOD_CALL),
+    "truncated": (
+        GOOD_LINE[:-1], "invalid JSON: Expecting ',' delimiter: line 1 column 141 (char 140)"
+    ),
+    "array": ("[1,2]", "record must be a JSON object"),
+    "number": ("7", "record must be a JSON object"),
+    "null": ("null", "record must be a JSON object"),
+    "string": ('"readLine"', "record must be a JSON object"),
+    "duplicate-key-last-wins": ('{"api_name":"first",' + GOOD_LINE[1:], GOOD_CALL),
+    "escaped-name": (_with('"readLine"', '"read\\u004cine"'), GOOD_CALL),
+    "nan-in-a-string-field": (
+        _with('"Application"', "NaN"), "field 'scope' must be a string, got float"
+    ),
+    "infinity-in-a-list": (
+        _with('["String"]', "[Infinity]"), "field 'outputs' must be an array of strings"
+    ),
+    "null-list": (_with('["String"]', "null"), "field 'outputs' must be an array of strings"),
+    "bool-name": (_with('"readLine"', "true"), "field 'api_name' must be a string, got bool"),
+    "unsorted-io": (
+        _with('"inputs":[]', '"inputs":["int","String","String"]'),
+        InstructionCall("readLine", "invokevirtual", "Application", "Ljava/io/BufferedReader",
+                        ("String", "String", "int"), ("String",)),
+    ),
+    # Several faults in one record: the first check in order raises.
+    "missing-and-extra": (
+        _with('"category":"invokevirtual",', "")[:-1] + ',"extra":1}',
+        "missing field(s): category",
+    ),
+    "two-extra-sorted": (
+        GOOD_LINE[:-1] + ',"zeta":1,"alpha":2}', "unexpected field(s): alpha, zeta"
+    ),
+    "int-name-and-unknown-category": (
+        _with('"readLine","category":"invokevirtual"', '7,"category":"jump"'),
+        "field 'api_name' must be a string, got int",
+    ),
+    "spaced-name-and-int-category": (
+        _with('"readLine","category":"invokevirtual"', '"read Line","category":1'),
+        "api_name contains whitespace: 'read Line'",
+    ),
+    "unknown-category-and-int-package": (
+        _with('"invokevirtual"', '"jump"').replace('"Ljava/io/BufferedReader"', "2"),
+        "field 'package' must be a string, got int",
+    ),
+    "bad-inputs-and-unknown-output": (
+        _with('"inputs":[],"outputs":["String"]', '"inputs":"String","outputs":["NotAType"]'),
+        "field 'inputs' must be an array of strings",
+    ),
+    "unknown-input-and-output": (
+        _with('"inputs":[],"outputs":["String"]', '"inputs":["NoIn"],"outputs":["NoOut"]'),
+        "unknown io-type: 'NoIn'",
+    ),
+}
+
+
+@pytest.mark.parametrize("line, expected", PARSE_TABLE.values(), ids=PARSE_TABLE.keys())
+def test_parse_table(vocabs, line, expected):
+    """Each line gives its recorded call or message, parsed alone and as line 2 of a trace."""
+    stream = io.StringIO(f"{GOOD_LINE}\n{line}\n")
+    if isinstance(expected, InstructionCall):
+        assert parse_trace_record(line, vocabs) == expected
+        assert read_trace(stream, vocabs, source_id="t").calls == [GOOD_CALL, expected]
+    else:
+        with pytest.raises(TraceError) as direct:
+            parse_trace_record(line, vocabs)
+        assert str(direct.value) == expected
+        with pytest.raises(TraceError) as in_trace:
+            read_trace(stream, vocabs, source_id="t")
+        assert str(in_trace.value) == f"t line 2: {expected}"
+
+
+def test_parse_takes_what_json_loads_takes(vocabs):
+    """An empty line is a decode error when parsed alone, and bytes decode as json.loads does."""
+    with pytest.raises(TraceError) as ei:
+        parse_trace_record("", vocabs)
+    assert str(ei.value) == "invalid JSON: Expecting value: line 1 column 1 (char 0)"
+    assert parse_trace_record(GOOD_LINE.encode(), vocabs) == GOOD_CALL
+
+
+@pytest.mark.parametrize("record", [[1, 2], 7, None, "readLine"])
+def test_call_from_a_non_object(vocabs, record):
+    with pytest.raises(TraceError) as ei:
+        call_from_record(record, vocabs)
+    assert str(ei.value) == "record must be a JSON object"
+
+
+def test_read_trace_parses_each_line_through_the_module_function(vocabs, monkeypatch):
+    """Without a memo every record line goes through ``trace.parse_trace_record``,
+    looked up at call time, so a wrapper put there sees each one."""
+    from chainwatch import trace as trace_mod
+
+    parsed = []
+    parse = trace_mod.parse_trace_record
+    monkeypatch.setattr(
+        trace_mod, "parse_trace_record", lambda line, v: parsed.append(line) or parse(line, v)
+    )
+    read_trace(io.StringIO(f"{GOOD_LINE}\n\n {GOOD_LINE}\n"), vocabs)
+    assert parsed == [GOOD_LINE, GOOD_LINE]
+
+
+def test_calls_have_slots_and_stay_frozen():
+    call = GOOD_CALL
+    assert not hasattr(call, "__dict__")
+    with pytest.raises(AttributeError):
+        call.api_name = "other"
+    assert hash(call) == hash(dataclasses.replace(call))
